@@ -189,16 +189,12 @@ BENCHMARK(BM_EngineThroughputLifecycle)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 
-/// Paired heap-vs-arena session churn (ISSUE-8): the same monitor code over
-/// the same record stream, differing only in where session state comes
-/// from. `passthrough` sends every block to the system allocator (the heap
-/// baseline, identical accounting); `pooled` recirculates freed sessions
-/// through the arena's freelists. `allocs_per_krec` is fresh allocator hits
-/// per 1000 records — the arena run must sit strictly below the heap run
-/// (after warm-up the freelists absorb churn entirely), while throughput
-/// must be no worse.
-void monitor_churn(benchmark::State& state, mem::ArenaMode mode,
-                   std::size_t ceiling_bytes) {
+/// Session churn on the per-monitor arena: 64 subscribers' sessions open
+/// and close across the feed, and freed session state recirculates through
+/// the arena's freelists. `allocs_per_krec` is fresh carves per 1000
+/// records and `reuse_ratio` the share of block requests the freelists
+/// served; after warm-up the freelists absorb churn almost entirely.
+void monitor_churn(benchmark::State& state, std::size_t ceiling_bytes) {
   const auto& records = live_records();
   std::uint64_t fresh = 0;
   std::uint64_t reuses = 0;
@@ -210,7 +206,6 @@ void monitor_churn(benchmark::State& state, mem::ArenaMode mode,
     // the intra-iteration session churn (64 subscribers x idle gaps) is what
     // exercises the freelists.
     core::OnlineMonitorConfig monitor_config;
-    monitor_config.arena_mode = mode;
     monitor_config.mem_ceiling_bytes = ceiling_bytes;
     core::OnlineMonitor monitor{trained_pipeline(), monitor_config};
     std::size_t completed = 0;
@@ -244,13 +239,8 @@ void monitor_churn(benchmark::State& state, mem::ArenaMode mode,
   }
 }
 
-void BM_MonitorChurnHeap(benchmark::State& state) {
-  monitor_churn(state, mem::ArenaMode::passthrough, 0);
-}
-BENCHMARK(BM_MonitorChurnHeap)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
-
 void BM_MonitorChurnArena(benchmark::State& state) {
-  monitor_churn(state, mem::ArenaMode::pooled, 0);
+  monitor_churn(state, 0);
 }
 BENCHMARK(BM_MonitorChurnArena)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 
@@ -260,7 +250,7 @@ BENCHMARK(BM_MonitorChurnArena)->Unit(benchmark::kMillisecond)->UseRealTime()->A
 /// footprint_kb (which must hold near the ceiling, not the unbounded high
 /// water).
 void BM_MonitorChurnArenaCeiling(benchmark::State& state) {
-  monitor_churn(state, mem::ArenaMode::pooled, 256 * 1024);
+  monitor_churn(state, 256 * 1024);
 }
 BENCHMARK(BM_MonitorChurnArenaCeiling)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 

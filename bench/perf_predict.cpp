@@ -1,5 +1,5 @@
 // Forest-inference benchmarks (google-benchmark, JSON to BENCH_predict.json
-// by default): CompactForest against the legacy pointer-chasing walk.
+// by default): the CompactForest every RandomForest::predict* call walks.
 //
 // Two model scales, matching the two deployment hot paths:
 //  * monitor scale — the standard stall-detector workload (1500 sessions,
@@ -8,11 +8,10 @@
 //  * operator scale — a corpus-scale model (12000 sessions, 160 trees,
 //    several MB flattened, larger than L2): blocked batch throughput at
 //    1/2/4/8 vqoe::par threads, the regime the tree-tiled kernel targets
-//    (the legacy walk re-misses the whole model once per row there).
+//    (a row-at-a-time walk re-misses the whole model once per row there).
 //
-// The tracked number is the compact-vs-legacy batch rows/sec ratio at one
-// thread (ISSUE-3 acceptance: >= 2x); both paths emit equivalent classes,
-// so the speedup carries no accuracy trade-off. The forest_bytes counter
+// The tracked numbers are single-row ns/row and batch rows/sec at one
+// thread, plus batch scaling across threads. The forest_bytes counter
 // records each flattened model footprint.
 #include <benchmark/benchmark.h>
 
@@ -71,40 +70,11 @@ const ml::RandomForest& corpus_compact_forest() {
   return forest;
 }
 
-/// The same trees with compact dispatch off — the pre-CompactForest path.
-ml::RandomForest legacy_view(const ml::RandomForest& forest) {
-  ml::RandomForest legacy = forest;
-  legacy.set_use_compact(false);
-  return legacy;
-}
-
-const ml::RandomForest& legacy_forest() {
-  static const auto forest = legacy_view(compact_forest());
-  return forest;
-}
-
-const ml::RandomForest& corpus_legacy_forest() {
-  static const auto forest = legacy_view(corpus_compact_forest());
-  return forest;
-}
-
 void report_forest_size(benchmark::State& state,
                         const ml::RandomForest& forest) {
   state.counters["forest_bytes"] =
       static_cast<double>(forest.compact()->bytes());
 }
-
-void BM_SingleRowPredictLegacy(benchmark::State& state) {
-  const auto& forest = legacy_forest();
-  const auto& data = stall_dataset();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict(data.row(i)));
-    if (++i == data.rows()) i = 0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleRowPredictLegacy)->Apply(vqoe::bench::perf_defaults);
 
 void BM_SingleRowPredictCompact(benchmark::State& state) {
   const auto& forest = compact_forest();
@@ -132,26 +102,6 @@ void BM_SingleRowProbaCompact(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SingleRowProbaCompact)->Apply(vqoe::bench::perf_defaults);
-
-void BM_BatchPredictLegacy(benchmark::State& state) {
-  par::set_threads(static_cast<int>(state.range(0)));
-  const auto& forest = corpus_legacy_forest();
-  const auto& data = corpus_dataset();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict_all(data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.rows()));
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  par::set_threads(0);
-}
-BENCHMARK(BM_BatchPredictLegacy)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Apply(vqoe::bench::perf_defaults);
 
 void BM_BatchPredictCompact(benchmark::State& state) {
   par::set_threads(static_cast<int>(state.range(0)));

@@ -8,9 +8,9 @@
 // engine path over real TCP against direct in-process ingest, so the
 // transport's overhead is a tracked number rather than a guess.
 //
-// The collector-ingest trio at the bottom tracks the epoll rework: the
-// poll(2)+copying-decode baseline vs the pooled epoll zero-copy path on
-// an identical 16-probe workload, and the 64-probe aggregate headline.
+// The collector-ingest pair at the bottom tracks the collector's own
+// receive path (epoll, pooled slabs, zero-copy views) at 16 probes and
+// the 64-probe aggregate headline.
 #include <arpa/inet.h>
 #include <benchmark/benchmark.h>
 #include <netinet/in.h>
@@ -202,7 +202,7 @@ void BM_LoopbackProbeToEngine(benchmark::State& state) {
     wire::Collector collector{config};
     std::thread server([&] {
       (void)collector.run(
-          [&](const trace::WeblogRecord& record) { eng.ingest(record); });
+          [&](const trace::WeblogRecordView& view) { eng.ingest(view); });
     });
 
     wire::ProbeOptions probe_options;
@@ -221,13 +221,9 @@ BENCHMARK(BM_LoopbackProbeToEngine)->Unit(benchmark::kMillisecond)->UseRealTime(
 
 // --- collector ingest scaling ----------------------------------------------
 //
-// The epoll-rework acceptance pair: the same concurrent-probe workload
-// against (a) the PR-4 baseline — poll(2) readiness, per-connection vector
-// rx buffers, per-frame copying decode — and (b) the pooled epoll path —
-// slab arena, in-place view decode, zero-copy sink. The sink only counts,
-// so the number is the transport itself: accept, event loop, reassembly,
-// CRC, decode, k-way merge. Plus the headline scenario: aggregate ingest
-// across 64 concurrent probes on the pooled epoll path.
+// Concurrent probes replaying pre-encoded streams into one collector. The
+// sink only counts, so the number is the transport itself: accept, event
+// loop, reassembly, CRC, decode, k-way merge.
 
 /// Lightweight synthetic feed each probe replays: realistic field shapes
 /// (googlevideo host, media records) but small enough that the collector
@@ -311,8 +307,7 @@ void replay_stream(std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
   ::close(fd);
 }
 
-void collector_ingest_run(benchmark::State& state, wire::IoBackend backend,
-                          bool pooled_decode, std::size_t probes,
+void collector_ingest_run(benchmark::State& state, std::size_t probes,
                           std::size_t records_per_probe) {
   records_per_probe = std::min(records_per_probe, collector_feed().size());
   const auto bytes = probe_stream_bytes(records_per_probe);
@@ -321,19 +316,12 @@ void collector_ingest_run(benchmark::State& state, wire::IoBackend backend,
     wire::CollectorConfig config;
     config.port = 0;
     config.expected_probes = probes;
-    config.io_backend = backend;
-    config.pooled_decode = pooled_decode;
     wire::Collector collector{config};
 
     std::uint64_t emitted = 0;
     std::thread server([&] {
-      if (pooled_decode) {
-        stats = collector.run(wire::Collector::ViewSink(
-            [&](const trace::WeblogRecordView&) { ++emitted; }));
-      } else {
-        stats = collector.run(
-            [&](const trace::WeblogRecord&) { ++emitted; });
-      }
+      stats = collector.run(
+          [&](const trace::WeblogRecordView&) { ++emitted; });
     });
 
     std::vector<std::thread> senders;
@@ -361,7 +349,7 @@ void collector_ingest_run(benchmark::State& state, wire::IoBackend backend,
           ? 0.0
           : static_cast<double>(stats.acks_sent) /
                 static_cast<double>(stats.frames_received);
-  if (pooled_decode && stats.slab_acquires > 0) {
+  if (stats.slab_acquires > 0) {
     state.counters["slab_reuse"] =
         1.0 - static_cast<double>(stats.slab_allocations) /
                   static_cast<double>(stats.slab_acquires);
@@ -370,26 +358,15 @@ void collector_ingest_run(benchmark::State& state, wire::IoBackend backend,
   }
 }
 
-/// Baseline: poll(2) readiness + copying decode, 16 concurrent probes.
-void BM_CollectorIngestPollBaseline16Probes(benchmark::State& state) {
-  collector_ingest_run(state, wire::IoBackend::poll,
-                       /*pooled_decode=*/false, 16, 50'000);
-}
-BENCHMARK(BM_CollectorIngestPollBaseline16Probes)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
-
-/// The paired optimized run: epoll + pooled slabs + zero-copy view sink,
-/// identical workload — items/sec here over the poll baseline is the
-/// tracked speedup of the ingest rework.
+/// 16 concurrent probes, 50k records each.
 void BM_CollectorIngestEpollPooled16Probes(benchmark::State& state) {
-  collector_ingest_run(state, wire::IoBackend::epoll,
-                       /*pooled_decode=*/true, 16, 50'000);
+  collector_ingest_run(state, 16, 50'000);
 }
 BENCHMARK(BM_CollectorIngestEpollPooled16Probes)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 
 /// Headline aggregate: 64 concurrent probes into one collector thread.
 void BM_CollectorIngest64ProbeAggregate(benchmark::State& state) {
-  collector_ingest_run(state, wire::IoBackend::epoll,
-                       /*pooled_decode=*/true, 64, 25'000);
+  collector_ingest_run(state, 64, 25'000);
 }
 BENCHMARK(BM_CollectorIngest64ProbeAggregate)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 

@@ -114,10 +114,6 @@ struct OnlineMonitorConfig {
   /// never evicted, so a single session larger than the ceiling may exceed
   /// it (there is nothing left to evict). 0 = unbounded.
   std::size_t mem_ceiling_bytes = 0;
-  /// Arena mode. `passthrough` routes every block to the system allocator
-  /// with identical accounting — the heap baseline of the paired churn
-  /// benchmark (bench/perf_engine), not a production setting.
-  mem::ArenaMode arena_mode = mem::ArenaMode::pooled;
   /// Optional scoring observer (drift / shadow instrumentation). Borrowed;
   /// must outlive the monitor. nullptr = no observation, zero cost.
   ScoreObserver* observer = nullptr;

@@ -18,7 +18,6 @@ OnlineMonitor::OnlineMonitor(std::shared_ptr<const QoePipeline> pipeline,
                              OnlineMonitorConfig config)
     : pipeline_(std::move(pipeline)),
       config_(config),
-      arena_(mem::SessionArenaConfig{.mode = config_.arena_mode}),
       open_(0, TransparentStringHash{}, TransparentStringEq{},
             mem::ArenaAllocator<std::pair<const mem::ArenaString, OpenSession>>(
                 arena_)) {

@@ -38,24 +38,20 @@ void* SessionArena::try_allocate(std::size_t bytes) noexcept {
   }
 
   void* p = nullptr;
-  if (config_.mode == ArenaMode::passthrough || block > config_.slab_bytes) {
-    // Heap baseline / oversize: one system allocation per block, same
-    // accounting as the pooled path. Oversize blocks (a huge bucket array,
-    // a giant vector doubling) are rare and unpredictable in size, so they
-    // are returned to the system on deallocate instead of hoarded. The
-    // operator-new form keeps the block untyped and the failure path
-    // explicit (nothrow: refusal must not unwind through try_allocate).
+  if (block > config_.slab_bytes) {
+    // Oversize: one system allocation per block, same accounting as the
+    // pooled path. Oversize blocks (a huge bucket array, a giant vector
+    // doubling) are rare and unpredictable in size, so they are returned
+    // to the system on deallocate instead of hoarded. The operator-new
+    // form keeps the block untyped and the failure path explicit
+    // (nothrow: refusal must not unwind through try_allocate).
     // vqoe-lint: allow(banned-api): arena internals own raw allocation
     p = ::operator new(block, std::nothrow);
     if (p == nullptr) return nullptr;
     ++stats_.block_fresh;
-    if (config_.mode == ArenaMode::passthrough) {
-      stats_.footprint_bytes += block;
-    } else {
-      oversize_live_bytes_ += block;
-      stats_.footprint_bytes = slabs_.size() * config_.slab_bytes +
-                               oversize_live_bytes_;
-    }
+    oversize_live_bytes_ += block;
+    stats_.footprint_bytes =
+        slabs_.size() * config_.slab_bytes + oversize_live_bytes_;
   } else {
     const std::size_t cls = class_of(block);
     if (free_[cls] != nullptr) {
@@ -100,17 +96,13 @@ void SessionArena::deallocate(void* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
   const std::size_t block = block_size(bytes);
   stats_.bytes_in_use -= block;
-  if (config_.mode == ArenaMode::passthrough || block > config_.slab_bytes) {
+  if (block > config_.slab_bytes) {
     // Matches the operator new in try_allocate.
     // vqoe-lint: allow(banned-api): arena internals own raw allocation
     ::operator delete(p);
-    if (config_.mode == ArenaMode::passthrough) {
-      stats_.footprint_bytes -= block;
-    } else {
-      oversize_live_bytes_ -= block;
-      stats_.footprint_bytes = slabs_.size() * config_.slab_bytes +
-                               oversize_live_bytes_;
-    }
+    oversize_live_bytes_ -= block;
+    stats_.footprint_bytes =
+        slabs_.size() * config_.slab_bytes + oversize_live_bytes_;
     return;
   }
   auto* node = static_cast<FreeNode*>(p);

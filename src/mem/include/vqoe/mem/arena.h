@@ -20,10 +20,7 @@
 //    idle-gap close path, so an evicted session is a session boundary);
 //  * an optional hard ceiling (`max_bytes`) makes allocation itself
 //    refuse — try_allocate() returns nullptr, allocate() throws — the
-//    backstop behind the soft eviction ceiling;
-//  * a passthrough mode forwards every block to the system allocator with
-//    identical accounting, giving the paired heap-vs-arena benchmarks a
-//    baseline that runs the exact same container code.
+//    backstop behind the soft eviction ceiling.
 //
 // ArenaAllocator<T> is the handle the standard containers use (no
 // std::pmr, no virtual dispatch: one pointer, fully inlinable), and
@@ -47,13 +44,6 @@
 
 namespace vqoe::mem {
 
-/// How SessionArena satisfies block requests. `passthrough` exists for
-/// paired benchmarking and A/B testing only: every block is an individual
-/// system-allocator call (the heap baseline), with the same size-class
-/// rounding and accounting as `pooled` so the two modes differ in nothing
-/// but where the bytes come from.
-enum class ArenaMode : std::uint8_t { pooled, passthrough };
-
 struct SessionArenaConfig {
   /// Capacity of each pooled slab; clamped to >= 4096 and rounded up to a
   /// power of two so every size class tiles it exactly.
@@ -63,16 +53,15 @@ struct SessionArenaConfig {
   /// std::bad_alloc. Monitors enforce their soft ceiling by eviction and
   /// normally leave this at 0.
   std::size_t max_bytes = 0;
-  ArenaMode mode = ArenaMode::pooled;
 };
 
 /// Snapshot of arena behavior. `block_reuses / block_allocs` is the
 /// fraction of requests the freelists absorbed — the reuse the arena
-/// exists for (always 0 in passthrough mode).
+/// exists for.
 struct SessionArenaStats {
   std::uint64_t block_allocs = 0;  ///< total block requests served
   std::uint64_t block_reuses = 0;  ///< served from a size-class freelist
-  std::uint64_t block_fresh = 0;   ///< carved fresh (or heap in passthrough)
+  std::uint64_t block_fresh = 0;   ///< carved fresh, or an oversize heap block
   std::uint64_t refusals = 0;      ///< requests denied by max_bytes
   std::size_t bytes_in_use = 0;    ///< class-rounded bytes currently out
   std::size_t high_water = 0;      ///< peak bytes_in_use
@@ -105,9 +94,9 @@ class SessionArena {
   /// standard containers require of their allocator.
   [[nodiscard]] void* allocate(std::size_t bytes);
 
-  /// Returns a block to its size-class freelist (pooled) or the system
-  /// allocator (passthrough / oversize). `bytes` must be the size the
-  /// block was requested with (any value rounding to the same class works).
+  /// Returns a block to its size-class freelist, or an oversize block to
+  /// the system allocator. `bytes` must be the size the block was
+  /// requested with (any value rounding to the same class works).
   void deallocate(void* p, std::size_t bytes) noexcept;
 
   /// The size class `bytes` rounds up to (what the request actually costs

@@ -282,9 +282,9 @@ void CompactForest::accumulate_block(const Dataset& data, std::size_t lo,
   // Interleaved tiles: each tree tile is swept over the whole row block
   // before the next tile, so the tile's threshold/feature/right streams
   // stay cache-hot across all 64 rows instead of being evicted and
-  // re-missed once per row (the legacy walk's behavior when the model
-  // outgrows L2). Within a row, accumulate_trees walks the tile's trees
-  // four at a time in branch-free lockstep. Per row, tiles and in-tile
+  // re-missed once per row (a row-at-a-time walk's behavior when the
+  // model outgrows L2). Within a row, accumulate_trees walks the tile's
+  // trees four at a time in branch-free lockstep. Per row, tiles and in-tile
   // trees ascend — votes accumulate in tree order, identical to
   // accumulate() whatever the tile width.
   const std::size_t ncls = num_classes_;

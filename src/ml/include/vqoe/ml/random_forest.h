@@ -34,6 +34,10 @@ struct ForestParams {
 // subsets from an RNG derived from (seed, tree index), and all reductions
 // (importance, OOB votes) are merged in tree order, so the fitted forest —
 // down to the bytes save() writes — is identical for every thread count.
+//
+// Every predict* call walks the cached CompactForest (compact_forest.h);
+// the DecisionTrees serve training, OOB estimation and persistence. On a
+// forest with no trees every predict* call throws std::logic_error.
 
 /// A trained forest. Copyable; prediction is const and thread-compatible.
 class RandomForest {
@@ -75,15 +79,9 @@ class RandomForest {
   [[nodiscard]] const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// The flattened inference representation (compact_forest.h), compiled
-  /// and cached by fit() and load(); null only on a default-constructed
-  /// forest. Shared (immutable) across copies of this forest.
+  /// and cached by fit() and load(); null only on an untrained forest.
+  /// Shared (immutable) across copies of this forest.
   [[nodiscard]] const CompactForest* compact() const { return compact_.get(); }
-
-  /// Routes predict/predict_proba/predict_all through the cached
-  /// CompactForest (default) or the legacy tree-walking path. The off
-  /// switch exists for benchmarking the layouts against each other.
-  void set_use_compact(bool use) { use_compact_ = use; }
-  [[nodiscard]] bool use_compact() const { return use_compact_; }
 
   /// Out-of-bag accuracy estimate; present only when params.compute_oob.
   [[nodiscard]] std::optional<double> oob_accuracy() const { return oob_accuracy_; }
@@ -100,19 +98,14 @@ class RandomForest {
   static RandomForest load(std::istream& is);
 
  private:
-  /// Sums unnormalized tree votes for one row into `votes` (zeroed by the
-  /// caller, size num_classes()).
-  void accumulate_votes(std::span<const double> features,
-                        std::span<double> votes) const;
-
   /// Compiles and caches the CompactForest; fit()/load() epilogue. Throws
   /// std::invalid_argument when a loaded tree is malformed in a way the
   /// per-tree bounds checks cannot see (cycles, shared subtrees).
   void compile_compact();
 
-  [[nodiscard]] bool compact_active() const {
-    return use_compact_ && compact_ != nullptr;
-  }
+  /// The cached CompactForest every predict* call walks. Throws
+  /// std::logic_error on an untrained forest.
+  [[nodiscard]] const CompactForest& compiled() const;
 
   std::vector<DecisionTree> trees_;
   std::vector<std::string> feature_names_;
@@ -120,7 +113,6 @@ class RandomForest {
   std::size_t num_classes_ = 0;
   std::optional<double> oob_accuracy_;
   std::shared_ptr<const CompactForest> compact_;
-  bool use_compact_ = true;
 };
 
 }  // namespace vqoe::ml

@@ -1,7 +1,6 @@
 #include "vqoe/ml/random_forest.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <istream>
 #include <numeric>
@@ -15,11 +14,6 @@
 namespace vqoe::ml {
 
 namespace {
-
-int argmax_class(std::span<const double> votes) {
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                          votes.begin());
-}
 
 /// Per-worker training scratch, reused across every tree a worker fits.
 struct FitScratch {
@@ -137,12 +131,9 @@ void RandomForest::compile_compact() {
   compact_ = std::make_shared<const CompactForest>(CompactForest::compile(*this));
 }
 
-void RandomForest::accumulate_votes(std::span<const double> features,
-                                    std::span<double> votes) const {
-  for (const DecisionTree& tree : trees_) {
-    const auto proba = tree.predict_proba(features);
-    for (std::size_t c = 0; c < votes.size(); ++c) votes[c] += proba[c];
-  }
+const CompactForest& RandomForest::compiled() const {
+  if (compact_ == nullptr) throw std::logic_error{"RandomForest: not trained"};
+  return *compact_;
 }
 
 std::vector<double> RandomForest::predict_proba(
@@ -154,79 +145,29 @@ std::vector<double> RandomForest::predict_proba(
 
 void RandomForest::predict_proba_into(std::span<const double> features,
                                       std::span<double> out) const {
-  if (out.size() != num_classes_) {
-    throw std::invalid_argument{
-        "RandomForest::predict_proba_into: output span size mismatch"};
-  }
-  if (compact_active()) {
-    compact_->predict_proba_into(features, out);
-    return;
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  accumulate_votes(features, out);
-  const double total = std::accumulate(out.begin(), out.end(), 0.0);
-  if (total > 0.0) {
-    for (double& v : out) v /= total;
-  }
+  compiled().predict_proba_into(features, out);
 }
 
 int RandomForest::predict(std::span<const double> features) const {
-  if (compact_active()) return compact_->predict(features);
-  // Max-vote into a stack buffer: normalizing and heap-allocating a proba
-  // vector per call dominated the old single-row hot path.
-  std::array<double, 16> stack_votes{};
-  std::vector<double> heap_votes;
-  std::span<double> votes;
-  if (num_classes_ <= stack_votes.size()) {
-    votes = std::span{stack_votes.data(), num_classes_};
-  } else {
-    heap_votes.assign(num_classes_, 0.0);
-    votes = heap_votes;
-  }
-  accumulate_votes(features, votes);
-  return argmax_class(votes);
+  return compiled().predict(features);
 }
 
 std::vector<int> RandomForest::predict_all(const Dataset& data) const {
+  const CompactForest& compact = compiled();
   if (data.feature_names() != feature_names_) {
     throw std::invalid_argument{
         "RandomForest::predict_all: feature layout differs from training"};
   }
-  if (compact_active()) return compact_->predict_all(data);
-  std::vector<int> out(data.rows());
-  par::WorkerLocal<std::vector<double>> votes;
-  par::parallel_for(
-      0, data.rows(), 64, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        auto& buf = votes.at(slot);
-        buf.resize(num_classes_);
-        for (std::size_t i = lo; i < hi; ++i) {
-          std::fill(buf.begin(), buf.end(), 0.0);
-          accumulate_votes(data.row(i), buf);
-          out[i] = argmax_class(buf);
-        }
-      });
-  return out;
+  return compact.predict_all(data);
 }
 
 std::vector<double> RandomForest::predict_proba_all(const Dataset& data) const {
+  const CompactForest& compact = compiled();
   if (data.feature_names() != feature_names_) {
     throw std::invalid_argument{
         "RandomForest::predict_proba_all: feature layout differs from training"};
   }
-  if (compact_active()) return compact_->predict_proba_all(data);
-  std::vector<double> out(data.rows() * num_classes_, 0.0);
-  par::parallel_for(
-      0, data.rows(), 64, [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::span<double> row{out.data() + i * num_classes_, num_classes_};
-          accumulate_votes(data.row(i), row);
-          const double total = std::accumulate(row.begin(), row.end(), 0.0);
-          if (total > 0.0) {
-            for (double& v : row) v /= total;
-          }
-        }
-      });
-  return out;
+  return compact.predict_proba_all(data);
 }
 
 std::vector<double> RandomForest::feature_importance() const {

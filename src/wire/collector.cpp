@@ -1,12 +1,8 @@
-// Collector ingest path. PR 4's poll(2) loop rebuilt an O(connections)
-// pollfd array every wakeup, recv(2)'d through a stack bounce buffer into a
-// growing std::vector, decoded every frame into freshly allocated
-// WeblogRecords, and linear-scanned all connections per merged record. This
-// file replaces all four hot spots while keeping the protocol and the merge
-// semantics bit-identical:
+// Collector ingest path: one epoll loop, pooled receive slabs, in-place
+// frame decode and a min-heap k-way merge. Protocol and merge semantics
+// are DESIGN.md §5e; the receive machinery is §5h.
 //
-//   * readiness comes from an EventLoop backend (event_loop.h): level-
-//     triggered epoll by default, poll(2) and io_uring selectable;
+//   * readiness comes from a level-triggered epoll loop (event_loop.h);
 //   * sockets recv straight into pooled fixed-size slabs (buffer_pool.h),
 //     no bounce copy, no vector growth/compaction;
 //   * frames whose payload lands contiguously in one slab decode in place
@@ -14,19 +10,15 @@
 //     frame's last record has been merged); payloads that straddle a slab
 //     boundary are assembled into a recycled scratch buffer and counted in
 //     CollectorStats::frames_assembled;
-//   * the k-way merge pops a min-heap keyed (merge_key, accept order)
-//     instead of scanning every connection — identical output order,
-//     including the first-accepted-wins tie-break of the old linear scan;
+//   * the k-way merge pops a min-heap keyed (merge_key, accept order), so
+//     equal keys go to the earliest-accepted connection;
 //   * acks batch per wakeup and only connections touched by this wakeup's
 //     events (or by the merge) are revisited, so idle connections cost
 //     nothing.
-//
-// `CollectorConfig::pooled_decode = false` restores the PR-4 receive path
-// (vector rx buffer + per-frame owned-record decode) on top of the same
-// merge and sink plumbing, which is what bench/perf_wire pairs against.
 #include <arpa/inet.h>
 #include <fcntl.h>
 
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -73,13 +65,9 @@ struct Collector::Conn {
   bool finished = false;  ///< FIN received, stream complete
   bool dead = false;      ///< socket error / EOF / protocol violation
 
-  // Legacy rx buffer (pooled_decode == false).
-  std::vector<std::uint8_t> in;
-  std::size_t in_off = 0;
-
-  // Pooled rx: a chain of slabs holding bytes [rx_base, rx_received), all
-  // chain slabs except the back one full. Offsets are absolute stream
-  // positions, so chain index = (abs - rx_base) / slab_bytes.
+  // Rx: a chain of slabs holding bytes [rx_base, rx_received), all chain
+  // slabs except the back one full. Offsets are absolute stream positions,
+  // so chain index = (abs - rx_base) / slab_bytes.
   std::deque<BufferPool::Slab*> chain;
   std::uint64_t rx_base = 0;
   std::uint64_t rx_parsed = 0;
@@ -91,20 +79,16 @@ struct Collector::Conn {
   /// One decoded data frame and whatever keeps its record bytes alive.
   struct Frame {
     std::uint32_t records_left = 0;
-    BufferPool::Slab* slab = nullptr;       ///< pinned zero-copy backing
-    std::vector<std::uint8_t> assembled;    ///< straddled/oversized backing
-    std::vector<trace::WeblogRecord> owned; ///< copying-decode backing
+    BufferPool::Slab* slab = nullptr;     ///< pinned zero-copy backing
+    std::vector<std::uint8_t> assembled;  ///< straddled/oversized backing
   };
-  struct PendingRec {
-    trace::WeblogRecordView view;
-    const trace::WeblogRecord* owned = nullptr;
-  };
-  std::deque<PendingRec> pending;  ///< decoded, not yet merged (FIFO)
-  std::deque<Frame> frames;        ///< backing for `pending`, in frame order
+  std::deque<trace::WeblogRecordView> pending;  ///< decoded, not yet merged
+  std::deque<Frame> frames;  ///< backing for `pending`, in frame order
   std::uint64_t frames_consumed = 0;
   std::uint64_t frames_ack_sent = 0;
+  /// Merge key of the newest accepted record. Accepted keys are finite, so
+  /// the -inf start admits any first record.
   double last_key = -std::numeric_limits<double>::infinity();
-  bool saw_record = false;
 };
 
 Collector::Collector(CollectorConfig config) : config_(config) {
@@ -167,32 +151,11 @@ void Collector::stop() {
   }
 }
 
-CollectorStats Collector::run(const RecordSink& sink) {
-  trace::WeblogRecord scratch;  // string capacity reused across records
-  return run_impl(
-      [&](const trace::WeblogRecordView& view, const trace::WeblogRecord* owned) {
-        if (owned != nullptr) {
-          sink(*owned);
-        } else {
-          view.assign_to(scratch);
-          sink(scratch);
-        }
-      });
-}
-
 CollectorStats Collector::run(const ViewSink& sink) {
-  return run_impl(
-      [&](const trace::WeblogRecordView& view, const trace::WeblogRecord*) {
-        sink(view);
-      });
-}
-
-CollectorStats Collector::run_impl(const EmitFn& emit) {
   CollectorStats stats;
-  const bool pooled = config_.pooled_decode;
   BufferPool pool(config_.rx_slab_bytes);
   const std::size_t sb = pool.slab_bytes();
-  auto loop = detail::make_event_loop(config_.io_backend);
+  detail::EventLoop loop;
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t hello_count = 0;   // successfully negotiated probes
@@ -202,7 +165,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
   // Merge state. `blockers` counts live (negotiated, unfinished)
   // connections with nothing decoded: the merge may only emit while it is
   // zero, because a record not yet received could sort earlier than
-  // anything buffered — the exact gate the old linear scan applied.
+  // anything buffered.
   std::uint64_t blockers = 0;
   struct HeapEntry {
     double key;
@@ -230,8 +193,8 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
 
   int wake_tag = 0;
   int listen_tag = 0;
-  loop->add(wake_fds_[0], true, false, &wake_tag);
-  loop->add(listen_fd_, true, false, &listen_tag);
+  loop.add(wake_fds_[0], true, false, &wake_tag);
+  loop.add(listen_fd_, true, false, &listen_tag);
   bool accepting = true;
 
   auto touch = [&](Conn& c) {
@@ -284,13 +247,11 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
     for (Conn::Frame& f : c.frames) release_frame_backing(f);
     c.frames.clear();
     release_rx(c);
-    c.in.clear();
-    c.in_off = 0;
     ++c.epoch;  // any heap entry for this conn is now stale
   };
 
   auto push_head = [&](Conn& c) {
-    heap.push(HeapEntry{merge_key_of(c.pending.front().view, config_.merge_key),
+    heap.push(HeapEntry{merge_key_of(c.pending.front(), config_.merge_key),
                         c.accept_seq, &c, c.epoch});
     ++c.heap_refs;
   };
@@ -335,25 +296,25 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
   };
 
   /// Appends one decoded frame's records to the merge input, enforcing
-  /// per-probe merge-key monotonicity. Takes ownership of `frame`'s
-  /// backing either way; `view_scratch` holds the decoded views.
+  /// per-probe merge-key order. Takes ownership of `frame`'s backing
+  /// either way; `view_scratch` holds the decoded views.
   auto append_frame = [&](Conn& c, Conn::Frame&& frame) -> bool {
     const std::size_t before = c.pending.size();
-    for (std::size_t i = 0; i < view_scratch.size(); ++i) {
+    for (const trace::WeblogRecordView& view : view_scratch) {
       // Each probe must stream in merge-key order or the k-way merge
-      // cannot reconstruct a globally sorted feed.
-      const double key = merge_key_of(view_scratch[i], config_.merge_key);
-      if (c.saw_record && key < c.last_key) {
+      // cannot reconstruct a globally sorted feed. A non-finite key is cut
+      // off like a regression: NaN compares false against everything, so
+      // it would pass the order check, disable it for the rest of the
+      // stream, and break the merge heap's strict weak ordering.
+      const double key = merge_key_of(view, config_.merge_key);
+      if (!std::isfinite(key) || key < c.last_key) {
         c.pending.resize(before);  // so fail_conn sees accurate blocking
         release_frame_backing(frame);
         fail_conn(c);
         return false;
       }
-      c.saw_record = true;
       c.last_key = key;
-      c.pending.push_back(
-          {view_scratch[i],
-           frame.owned.empty() ? nullptr : &frame.owned[i]});
+      c.pending.push_back(view);
     }
     c.frames.push_back(std::move(frame));
     if (before == 0) {
@@ -365,25 +326,18 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
 
   auto parse = [&](Conn& c) {
     for (;;) {
-      const std::uint64_t avail = pooled ? c.rx_received - c.rx_parsed
-                                         : c.in.size() - c.in_off;
+      const std::uint64_t avail = c.rx_received - c.rx_parsed;
 
       if (!c.hello_done) {
         if (avail < kHelloBytes) break;
-        const std::uint8_t* p = pooled
-                                    ? peek_chain(c, c.rx_parsed, kHelloBytes)
-                                    : c.in.data() + c.in_off;
+        const std::uint8_t* p = peek_chain(c, c.rx_parsed, kHelloBytes);
         if (get_u32(p) != kHelloMagic) {
           fail_conn(c);
           return;
         }
         const std::uint8_t peer_min = p[4];
         const std::uint8_t peer_max = p[5];
-        if (pooled) {
-          c.rx_parsed += kHelloBytes;
-        } else {
-          c.in_off += kHelloBytes;
-        }
+        c.rx_parsed += kHelloBytes;
         c.hello_done = true;
 
         const std::uint8_t version =
@@ -414,9 +368,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
         return;
       }
       if (avail < kFrameHeaderBytes) break;
-      const std::uint8_t* h = pooled
-                                  ? peek_chain(c, c.rx_parsed, kFrameHeaderBytes)
-                                  : c.in.data() + c.in_off;
+      const std::uint8_t* h = peek_chain(c, c.rx_parsed, kFrameHeaderBytes);
       const std::uint32_t payload_len = get_u32(h);
       const std::uint32_t crc = get_u32(h + 4);
       if (payload_len == 0) {
@@ -424,11 +376,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
           fail_conn(c);
           return;
         }
-        if (pooled) {
-          c.rx_parsed += kFrameHeaderBytes;
-        } else {
-          c.in_off += kFrameHeaderBytes;
-        }
+        c.rx_parsed += kFrameHeaderBytes;
         if (is_blocking(c)) --blockers;
         c.finished = true;
         ++stats.probes_completed;
@@ -442,63 +390,40 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
 
       Conn::Frame frame;
       const std::uint8_t* payload = nullptr;
-      std::vector<std::uint8_t> asmbuf;
       BufferPool::Slab* pin = nullptr;
-      if (pooled) {
-        const std::uint64_t off = c.rx_parsed + kFrameHeaderBytes;
-        const std::size_t rel = static_cast<std::size_t>(off - c.rx_base);
-        const std::size_t si = rel / sb;
-        const std::size_t so = rel % sb;
-        if (so + payload_len <= sb) {
-          pin = c.chain[si];
-          payload = pin->data() + so;
-        } else {
-          asmbuf = take_assembled();
-          asmbuf.resize(payload_len);
-          copy_out(c, off, payload_len, asmbuf.data());
-          payload = asmbuf.data();
-          ++stats.frames_assembled;
-        }
+      const std::uint64_t off = c.rx_parsed + kFrameHeaderBytes;
+      const std::size_t rel = static_cast<std::size_t>(off - c.rx_base);
+      const std::size_t so = rel % sb;
+      if (so + payload_len <= sb) {
+        pin = c.chain[rel / sb];
+        payload = pin->data() + so;
       } else {
-        payload = c.in.data() + c.in_off + kFrameHeaderBytes;
+        frame.assembled = take_assembled();
+        frame.assembled.resize(payload_len);
+        copy_out(c, off, payload_len, frame.assembled.data());
+        payload = frame.assembled.data();
+        ++stats.frames_assembled;
       }
 
       if (crc32c(payload, payload_len) != crc) {
-        recycle_assembled(std::move(asmbuf));
+        recycle_assembled(std::move(frame.assembled));
         fail_conn(c);
         return;
       }
       view_scratch.clear();
-      if (pooled) {
-        try {
-          decode_batch_views(payload, payload_len, kWireVersionMax,
-                             view_scratch);
-        } catch (const WireError&) {
-          recycle_assembled(std::move(asmbuf));
-          fail_conn(c);
-          return;
-        }
-      } else {
-        try {
-          frame.owned = decode_batch(payload, payload_len, kWireVersionMax);
-        } catch (const WireError&) {
-          fail_conn(c);
-          return;
-        }
-        view_scratch.reserve(frame.owned.size());
-        for (const trace::WeblogRecord& r : frame.owned) {
-          view_scratch.push_back(trace::WeblogRecordView::of(r));
-        }
+      try {
+        decode_batch_views(payload, payload_len, kWireVersionMax,
+                           view_scratch);
+      } catch (const WireError&) {
+        recycle_assembled(std::move(frame.assembled));
+        fail_conn(c);
+        return;
       }
-      if (pooled) {
-        c.rx_parsed += kFrameHeaderBytes + payload_len;
-      } else {
-        c.in_off += kFrameHeaderBytes + payload_len;
-      }
+      c.rx_parsed += kFrameHeaderBytes + payload_len;
       ++stats.frames_received;
       stats.records_received += view_scratch.size();
       if (view_scratch.empty()) {
-        recycle_assembled(std::move(asmbuf));
+        recycle_assembled(std::move(frame.assembled));
         ++c.frames_consumed;  // nothing to merge; ack immediately
         continue;
       }
@@ -506,23 +431,13 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
       if (pin != nullptr) {
         pool.add_ref(pin);  // the frame outlives the rx chain's interest
         frame.slab = pin;
-      } else if (!asmbuf.empty()) {
-        frame.assembled = std::move(asmbuf);
       }
       if (!append_frame(c, std::move(frame))) return;
     }
-
-    if (pooled) {
-      release_parsed(c);
-    } else if (c.in_off > (64u << 10) && c.in_off * 2 > c.in.size()) {
-      // Compact the rx buffer once the parsed prefix dominates it.
-      c.in.erase(c.in.begin(),
-                 c.in.begin() + static_cast<std::ptrdiff_t>(c.in_off));
-      c.in_off = 0;
-    }
+    release_parsed(c);
   };
 
-  auto recv_pooled = [&](Conn& c) {
+  auto receive = [&](Conn& c) {
     for (;;) {
       std::size_t filled = sb;
       if (!c.chain.empty()) {
@@ -554,27 +469,6 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
     }
   };
 
-  auto recv_legacy = [&](Conn& c) {
-    for (;;) {
-      std::uint8_t buf[64 << 10];
-      const ssize_t n = ::recv(c.fd.get(), buf, sizeof buf, MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        fail_conn(c);
-        break;
-      }
-      if (n == 0) {
-        if (!c.finished) fail_conn(c);
-        c.dead = true;
-        break;
-      }
-      stats.bytes_received += static_cast<std::uint64_t>(n);
-      c.in.insert(c.in.end(), buf, buf + n);
-      if (static_cast<std::size_t>(n) < sizeof buf) break;
-    }
-  };
-
   auto flush_tee = [&] {
     if (config_.tee != nullptr && !tee_buf.empty()) {
       config_.tee->append(tee_buf);
@@ -597,13 +491,12 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
       touch(c);
       if (e.epoch != c.epoch || c.pending.empty()) continue;  // stale entry
 
-      const Conn::PendingRec rec = c.pending.front();
+      const trace::WeblogRecordView& view = c.pending.front();
       if (config_.tee != nullptr) {
-        tee_buf.push_back(rec.owned != nullptr ? *rec.owned
-                                               : rec.view.materialize());
+        tee_buf.push_back(view.materialize());
         if (tee_buf.size() >= tee_batch) flush_tee();
       }
-      emit(rec.view, rec.owned);
+      sink(view);
       ++stats.records_emitted;
       c.pending.pop_front();
       Conn::Frame& f = c.frames.front();
@@ -653,7 +546,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
     const bool want_read = !c.dead && !c.finished;
     const bool want_write = !c.dead && c.out_off < c.out.size();
     if (want_read != c.reg_read || want_write != c.reg_write) {
-      loop->modify(c.fd.get(), want_read, want_write, &c);
+      loop.modify(c.fd.get(), want_read, want_write, &c);
       c.reg_read = want_read;
       c.reg_write = want_write;
     }
@@ -672,7 +565,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
     for (Conn::Frame& f : c.frames) release_frame_backing(f);
     c.frames.clear();
     release_rx(c);
-    loop->remove(c.fd.get());
+    loop.remove(c.fd.get());
     const std::size_t at = c.index;
     conns[at] = std::move(conns.back());
     conns[at]->index = at;
@@ -682,7 +575,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
 
   // order: acquire — pairs with stop()'s release store (see above)
   while (!stop_.load(std::memory_order_acquire)) {
-    loop->wait(events, 200);
+    loop.wait(events, 200);
     ++stats.wakeups;
 
     for (const detail::LoopEvent& ev : events) {
@@ -703,12 +596,12 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
           conn->fd.reset(fd);
           conn->accept_seq = next_accept_seq++;
           conn->index = conns.size();
-          loop->add(fd, true, false, conn.get());
+          loop.add(fd, true, false, conn.get());
           conns.push_back(std::move(conn));
           ++stats.probes_connected;
           if (config_.expected_probes > 0 &&
               stats.probes_connected >= config_.expected_probes) {
-            loop->remove(listen_fd_);
+            loop.remove(listen_fd_);
             accepting = false;
             break;
           }
@@ -717,11 +610,7 @@ CollectorStats Collector::run_impl(const EmitFn& emit) {
       }
       Conn& c = *static_cast<Conn*>(ev.tag);
       if (ev.readable && !c.dead && !c.finished) {
-        if (pooled) {
-          recv_pooled(c);
-        } else {
-          recv_legacy(c);
-        }
+        receive(c);
         if (!c.dead) parse(c);
       }
       touch(c);

@@ -1,186 +1,63 @@
 #include "event_loop.h"
 
-#include <poll.h>
-#include <sys/epoll.h>
-#include <unistd.h>
-
+#include <cerrno>
 #include <cstdint>
-#include <stdexcept>
-#include <unordered_map>
-
-#include "wire_io.h"
-
-namespace vqoe::wire {
-
-bool io_uring_available() { return detail::io_uring_compiled(); }
-
-}  // namespace vqoe::wire
 
 namespace vqoe::wire::detail {
 
 namespace {
 
-// --- poll(2) baseline -------------------------------------------------------
-
-/// The PR-4 behavior preserved behind the interface: interest lives in a
-/// flat table, every wait rebuilds a pollfd array and the kernel scans all
-/// of it. O(connections) per wakeup by construction — which is exactly why
-/// it stays: bench/perf_wire runs the same collector over poll and epoll
-/// to keep the event-loop win an honest, measured number.
-class PollEventLoop final : public EventLoop {
- public:
-  void add(int fd, bool want_read, bool want_write, void* tag) override {
-    index_[fd] = entries_.size();
-    entries_.push_back({fd, want_read, want_write, tag});
-  }
-
-  void modify(int fd, bool want_read, bool want_write, void* tag) override {
-    Entry& e = entries_[index_.at(fd)];
-    e.want_read = want_read;
-    e.want_write = want_write;
-    e.tag = tag;
-  }
-
-  void remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t at = it->second;
-    index_.erase(it);
-    if (at + 1 != entries_.size()) {
-      entries_[at] = entries_.back();
-      index_[entries_[at].fd] = at;
-    }
-    entries_.pop_back();
-  }
-
-  void wait(std::vector<LoopEvent>& out, int timeout_ms) override {
-    out.clear();
-    pfds_.clear();
-    pfds_.reserve(entries_.size());
-    for (const Entry& e : entries_) {
-      short events = 0;
-      if (e.want_read) events |= POLLIN;
-      if (e.want_write) events |= POLLOUT;
-      pfds_.push_back({e.fd, events, 0});
-    }
-    int rc;
-    do {
-      rc = ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) throw_errno("event loop poll failed");
-    if (rc == 0) return;
-    for (std::size_t i = 0; i < pfds_.size(); ++i) {
-      const short got = pfds_[i].revents;
-      if (got == 0) continue;
-      LoopEvent ev;
-      ev.tag = entries_[i].tag;
-      // Errors and hangups surface as readable: the owner drains the fd
-      // and sees the EOF / errno itself.
-      ev.readable = (got & (POLLIN | POLLERR | POLLHUP)) != 0;
-      ev.writable = (got & (POLLOUT | POLLERR)) != 0 && entries_[i].want_write;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  struct Entry {
-    int fd;
-    bool want_read;
-    bool want_write;
-    void* tag;
-  };
-  std::vector<Entry> entries_;
-  std::unordered_map<int, std::size_t> index_;
-  std::vector<pollfd> pfds_;
-};
-
-// --- epoll ------------------------------------------------------------------
-
-class EpollEventLoop final : public EventLoop {
- public:
-  EpollEventLoop() : epfd_(::epoll_create1(0)) {
-    if (epfd_.get() < 0) throw_errno("cannot create epoll instance");
-  }
-
-  void add(int fd, bool want_read, bool want_write, void* tag) override {
-    epoll_event ev = make_event(want_read, want_write, tag);
-    if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl add failed");
-    }
-  }
-
-  void modify(int fd, bool want_read, bool want_write, void* tag) override {
-    epoll_event ev = make_event(want_read, want_write, tag);
-    if (::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl mod failed");
-    }
-  }
-
-  void remove(int fd) override {
-    epoll_event ev{};
-    // ENOENT here would mean a double-remove — harmless on teardown paths.
-    // vqoe-lint: allow(unchecked-syscall): idempotent deregistration
-    (void)!::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  void wait(std::vector<LoopEvent>& out, int timeout_ms) override {
-    out.clear();
-    events_.resize(256);
-    int rc;
-    do {
-      rc = ::epoll_wait(epfd_.get(), events_.data(),
-                        static_cast<int>(events_.size()), timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) throw_errno("epoll_wait failed");
-    for (int i = 0; i < rc; ++i) {
-      const std::uint32_t got = events_[static_cast<std::size_t>(i)].events;
-      LoopEvent ev;
-      ev.tag = events_[static_cast<std::size_t>(i)].data.ptr;
-      ev.readable = (got & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-      ev.writable = (got & (EPOLLOUT | EPOLLERR)) != 0;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  static epoll_event make_event(bool want_read, bool want_write, void* tag) {
-    epoll_event ev{};
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    ev.data.ptr = tag;
-    return ev;
-  }
-
-  ScopedFd epfd_;
-  std::vector<epoll_event> events_;
-};
+epoll_event make_event(bool want_read, bool want_write, void* tag) {
+  epoll_event ev{};
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  ev.data.ptr = tag;
+  return ev;
+}
 
 }  // namespace
 
-bool io_uring_compiled() {
-#if defined(VQOE_IO_URING)
-  return true;
-#else
-  return false;
-#endif
+EventLoop::EventLoop() : epfd_(::epoll_create1(0)), events_(256) {
+  if (epfd_.get() < 0) throw_errno("cannot create epoll instance");
 }
 
-std::unique_ptr<EventLoop> make_event_loop(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::poll:
-      return std::make_unique<PollEventLoop>();
-    case IoBackend::epoll:
-      return std::make_unique<EpollEventLoop>();
-    case IoBackend::io_uring:
-#if defined(VQOE_IO_URING)
-      return make_uring_event_loop();
-#else
-      throw std::runtime_error{
-          "io_uring backend requested but this build was configured "
-          "without VQOE_IO_URING"};
-#endif
+void EventLoop::add(int fd, bool want_read, bool want_write, void* tag) {
+  epoll_event ev = make_event(want_read, want_write, tag);
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl add failed");
   }
-  throw std::runtime_error{"unknown io backend"};
+}
+
+void EventLoop::modify(int fd, bool want_read, bool want_write, void* tag) {
+  epoll_event ev = make_event(want_read, want_write, tag);
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl mod failed");
+  }
+}
+
+void EventLoop::remove(int fd) {
+  epoll_event ev{};
+  // ENOENT here would mean a double-remove — harmless on teardown paths.
+  // vqoe-lint: allow(unchecked-syscall): idempotent deregistration
+  (void)!::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev);
+}
+
+void EventLoop::wait(std::vector<LoopEvent>& out, int timeout_ms) {
+  out.clear();
+  int rc;
+  do {
+    rc = ::epoll_wait(epfd_.get(), events_.data(),
+                      static_cast<int>(events_.size()), timeout_ms);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) throw_errno("epoll_wait failed");
+  for (int i = 0; i < rc; ++i) {
+    const epoll_event& got = events_[static_cast<std::size_t>(i)];
+    LoopEvent ev;
+    ev.tag = got.data.ptr;
+    ev.readable = (got.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
+    ev.writable = (got.events & (EPOLLOUT | EPOLLERR)) != 0;
+    out.push_back(ev);
+  }
 }
 
 }  // namespace vqoe::wire::detail

@@ -1,32 +1,19 @@
-// Internal readiness-notification abstraction behind the collector.
+// Internal readiness loop behind the collector: level-triggered epoll(7).
 //
-// The poll(2) loop PR 4 shipped rebuilds and scans an O(connections) pollfd
-// array every wakeup — fine for 4 probes, quadratic pain for thousands.
-// The collector now drives one of three interchangeable backends through
-// this interface:
-//
-//   * epoll  — level-triggered epoll(7), the portable Linux default: O(1)
-//     interest updates, O(ready) wakeups.
-//   * poll   — the poll(2) baseline, kept both as the lowest-common-
-//     denominator fallback and so bench/perf_wire can measure the paired
-//     poll-vs-epoll scenario on identical parse/merge code.
-//   * io_uring — completion-ring readiness via raw io_uring syscalls
-//     (no liburing dependency), compiled behind the VQOE_IO_URING CMake
-//     option and selected with CollectorConfig::io_backend.
-//
-// Semantics are uniformly level-triggered: an fd with unread bytes (or
-// writable space, when write interest is armed) reports ready on every
-// wait until the condition clears. Error/hangup conditions surface as
-// `readable` so the owner drains the socket and observes EOF/errno — the
-// same convention the old poll loop used. Not installed; implementation
-// detail of the transport layer.
+// O(1) interest updates and O(ready) wakeups, so a collector serving
+// thousands of probes pays per wakeup only for the connections that have
+// something to say. An fd with unread bytes (or writable space, when write
+// interest is armed) reports ready on every wait until the condition
+// clears. Error/hangup conditions surface as `readable` so the owner
+// drains the socket and observes EOF/errno itself. Not installed;
+// implementation detail of the transport layer.
 #pragma once
 
-#include <cstddef>
-#include <memory>
+#include <sys/epoll.h>
+
 #include <vector>
 
-#include "vqoe/wire/transport.h"
+#include "wire_io.h"
 
 namespace vqoe::wire::detail {
 
@@ -38,34 +25,25 @@ struct LoopEvent {
 
 class EventLoop {
  public:
-  virtual ~EventLoop() = default;
+  EventLoop();
 
   /// Registers `fd` with the given interest set. `tag` comes back verbatim
   /// in every event for this fd.
-  virtual void add(int fd, bool want_read, bool want_write, void* tag) = 0;
+  void add(int fd, bool want_read, bool want_write, void* tag);
 
   /// Replaces the interest set of a registered fd.
-  virtual void modify(int fd, bool want_read, bool want_write, void* tag) = 0;
+  void modify(int fd, bool want_read, bool want_write, void* tag);
 
-  /// Deregisters. Must be called before the fd is closed (the poll and
-  /// io_uring backends track fds themselves and would otherwise keep
-  /// watching a recycled descriptor).
-  virtual void remove(int fd) = 0;
+  /// Deregisters `fd`; call before the fd is closed.
+  void remove(int fd);
 
   /// Blocks until at least one registered fd is ready or `timeout_ms`
   /// elapses. Clears and fills `out`; an empty result is a timeout.
-  virtual void wait(std::vector<LoopEvent>& out, int timeout_ms) = 0;
+  void wait(std::vector<LoopEvent>& out, int timeout_ms);
+
+ private:
+  ScopedFd epfd_;
+  std::vector<epoll_event> events_;
 };
-
-/// Factory. Throws std::runtime_error when `backend` names io_uring in a
-/// build without VQOE_IO_URING, or when backend setup fails.
-[[nodiscard]] std::unique_ptr<EventLoop> make_event_loop(IoBackend backend);
-
-/// True when this build carries the io_uring backend.
-[[nodiscard]] bool io_uring_compiled();
-
-#if defined(VQOE_IO_URING)
-[[nodiscard]] std::unique_ptr<EventLoop> make_uring_event_loop();
-#endif
 
 }  // namespace vqoe::wire::detail

@@ -4,19 +4,18 @@
 // system, PAPERS.md): passive probes at network vantage points ship
 // per-transaction records to a central service that runs the trained
 // models. This header is that wire: a Probe streams framed record batches
-// over TCP; a Collector accepts N probes with one event loop (level-
-// triggered epoll by default; poll(2) and io_uring selectable via
-// CollectorConfig::io_backend), k-way merges the per-probe streams back
-// into one globally time-sorted feed and hands each record to a
-// caller-supplied sink (normally engine::MonitorEngine::ingest),
-// optionally tee-ing the merged feed to a SpoolWriter for replay.
+// over TCP; a Collector accepts N probes with one level-triggered epoll
+// event loop, k-way merges the per-probe streams back into one globally
+// time-sorted feed and hands each record to a caller-supplied sink
+// (normally engine::MonitorEngine::ingest), optionally tee-ing the merged
+// feed to a SpoolWriter for replay.
 //
 // The receive path is zero-copy: sockets recv(2) into pooled fixed-size
 // slabs (buffer_pool.h), frames decode in place into WeblogRecordView
-// batches, and the view sink overload of Collector::run() hands those
-// views straight to MonitorEngine::ingest(const WeblogRecordView&), which
-// materializes each record inside its shard queue slot — one string copy
-// end to end, no intermediate WeblogRecord.
+// batches, and Collector::run() hands those views straight to the sink —
+// with MonitorEngine::ingest(const WeblogRecordView&) behind it, each
+// record materializes inside its shard queue slot: one string copy end to
+// end, no intermediate WeblogRecord.
 //
 // Protocol (version negotiated per connection, all integers little-endian):
 //   hello      probe → collector   "VQOW", u8 min_ver, u8 max_ver, u16 rsvd
@@ -62,27 +61,10 @@ inline constexpr std::size_t kHelloAckBytes = 12;
 /// order instead.
 enum class MergeKey : std::uint8_t { timestamp, arrival_time };
 
-/// Readiness-notification backend the collector's event loop runs on.
-/// `epoll` is the default (O(ready) wakeups); `poll` is the PR-4 baseline
-/// kept for benchmarking and as a lowest-common-denominator fallback;
-/// `io_uring` requires a build configured with -DVQOE_IO_URING=ON and a
-/// kernel that supports it (Collector::run throws otherwise).
-enum class IoBackend : std::uint8_t { epoll, poll, io_uring };
-
-[[nodiscard]] inline double merge_key_of(const trace::WeblogRecord& r,
-                                         MergeKey key) {
-  return key == MergeKey::timestamp ? r.timestamp_s : r.arrival_time_s();
-}
-
 [[nodiscard]] inline double merge_key_of(const trace::WeblogRecordView& r,
                                          MergeKey key) {
   return key == MergeKey::timestamp ? r.timestamp_s : r.arrival_time_s();
 }
-
-/// True when this build carries the io_uring event-loop backend (CMake
-/// option VQOE_IO_URING). Selecting IoBackend::io_uring without it makes
-/// Collector::run throw.
-[[nodiscard]] bool io_uring_available();
 
 /// Stable FNV-1a assignment of a subscriber to one of `probes` vantage
 /// points. Partitioning a feed this way keeps every subscriber's records
@@ -188,14 +170,6 @@ struct CollectorConfig {
   SpoolWriter* tee = nullptr;
   /// Records per tee frame.
   std::size_t tee_batch_records = 512;
-  /// Readiness backend for the event loop.
-  IoBackend io_backend = IoBackend::epoll;
-  /// Zero-copy receive path: decode frames in place from pooled slabs into
-  /// WeblogRecordView batches. `false` restores the PR-4 copying decode
-  /// (per-frame WeblogRecord batches) — kept selectable so perf_wire can
-  /// measure the pooled path against the legacy one on identical merge
-  /// and sink code.
-  bool pooled_decode = true;
   /// Capacity of each pooled receive slab (clamped to >= 4096). Small
   /// values force frames to straddle slab boundaries — useful in tests.
   std::size_t rx_slab_bytes = 256 * 1024;
@@ -215,8 +189,7 @@ struct CollectorStats {
   std::uint64_t acks_sent = 0;        ///< ack writes (cumulative, batched)
   std::uint64_t frames_assembled = 0; ///< frames copied out of slabs
                                       ///< (straddled a boundary / oversized)
-  // Buffer-pool counters (zero when pooled_decode is off). Mirrors
-  // BufferPoolStats at run() exit.
+  // Buffer-pool counters: BufferPoolStats at run() exit.
   std::uint64_t slab_acquires = 0;     ///< slab checkouts
   std::uint64_t slab_allocations = 0;  ///< checkouts that allocated fresh
   std::uint64_t slab_high_water = 0;   ///< peak slabs simultaneously out
@@ -236,19 +209,15 @@ class Collector {
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// Copying sink: each merged record is materialized as a WeblogRecord.
-  using RecordSink = std::function<void(const trace::WeblogRecord&)>;
-  using Sink = RecordSink;
-  /// Zero-copy sink: views point into pooled receive buffers and are valid
-  /// only for the duration of the call. Pair with
+  /// Receives each merged record. Views point into pooled receive buffers
+  /// and are valid only for the duration of the call: pair with
   /// MonitorEngine::ingest(const WeblogRecordView&) to materialize straight
-  /// into shard queue slots.
+  /// into shard queue slots, or call view.materialize() to keep a record.
   using ViewSink = std::function<void(const trace::WeblogRecordView&)>;
 
   /// The bound listen port (useful with config.port == 0).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  CollectorStats run(const RecordSink& sink);
   CollectorStats run(const ViewSink& sink);
 
   /// Thread-safe, idempotent: makes run() drain what it can and return.
@@ -256,14 +225,6 @@ class Collector {
 
  private:
   struct Conn;
-
-  /// Internal emit callback: `owned` is non-null when the record already
-  /// exists as an owned WeblogRecord (copying decode path), letting the
-  /// RecordSink adapter skip a materialization.
-  using EmitFn = std::function<void(const trace::WeblogRecordView& view,
-                                    const trace::WeblogRecord* owned)>;
-
-  CollectorStats run_impl(const EmitFn& emit);
 
   CollectorConfig config_;
   int listen_fd_ = -1;

@@ -1,6 +1,6 @@
 // SessionArena unit tests: size-class rounding, freelist recirculation,
 // the hard ceiling (refusal + bad_alloc), high-water/footprint accounting,
-// oversize blocks, passthrough mode, and standard-container integration —
+// oversize blocks, and standard-container integration —
 // the properties DESIGN.md §5i commits to.
 #include "vqoe/mem/arena.h"
 
@@ -103,20 +103,6 @@ TEST(SessionArena, OversizeBlocksBypassSlabsAndReturnToSystem) {
   arena.deallocate(big, 10000);
   EXPECT_EQ(arena.bytes_in_use(), 0u);
   // Oversize blocks are freed, not hoarded: the footprint shrinks back.
-  EXPECT_EQ(arena.stats().footprint_bytes, 0u);
-}
-
-TEST(SessionArena, PassthroughModeKeepsAccountingButNeverReuses) {
-  SessionArena arena{SessionArenaConfig{.mode = ArenaMode::passthrough}};
-  void* a = arena.allocate(100);
-  EXPECT_EQ(arena.bytes_in_use(), 128u);  // same class rounding as pooled
-  EXPECT_EQ(arena.stats().slab_count, 0u);
-  arena.deallocate(a, 100);
-  void* b = arena.allocate(100);
-  EXPECT_EQ(arena.stats().block_reuses, 0u);  // straight to the heap
-  EXPECT_EQ(arena.stats().block_fresh, 2u);
-  EXPECT_DOUBLE_EQ(arena.stats().reuse_ratio(), 0.0);
-  arena.deallocate(b, 100);
   EXPECT_EQ(arena.stats().footprint_bytes, 0u);
 }
 

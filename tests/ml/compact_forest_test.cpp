@@ -1,8 +1,9 @@
 // CompactForest equivalence and validation suite (`compact` ctest label).
 //
 // The flattened representation must be a pure re-encoding: same class for
-// every row as the legacy tree-walking path, probabilities equal within
-// float-storage tolerance, batch kernel bit-identical to single-row calls.
+// every row as an independent walk over the forest's training trees,
+// probabilities equal within float-storage tolerance, batch kernel
+// bit-identical to single-row calls.
 // compile() must also reject malformed trees (cycles, shared subtrees,
 // out-of-range indices) instead of mirroring them into the flat arrays.
 #include "vqoe/ml/compact_forest.h"
@@ -12,9 +13,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "vqoe/ml/random_forest.h"
 #include "vqoe/par/parallel.h"
@@ -46,15 +50,24 @@ Dataset blobs(std::size_t per_class, std::size_t num_classes,
   return d;
 }
 
-/// The legacy view of a trained forest: same trees, compact dispatch off.
-RandomForest legacy_view(const RandomForest& forest) {
-  RandomForest legacy = forest;
-  legacy.set_use_compact(false);
-  return legacy;
+/// The reference walk: every training tree's leaf distribution for `row`,
+/// summed in tree order and normalized by the total — double precision
+/// throughout and independent of the flattened layout under test.
+std::vector<double> reference_proba(const RandomForest& forest,
+                                    std::span<const double> row) {
+  std::vector<double> votes(forest.num_classes(), 0.0);
+  for (const DecisionTree& tree : forest.trees()) {
+    const auto proba = tree.predict_proba(row);
+    for (std::size_t c = 0; c < votes.size(); ++c) votes[c] += proba[c];
+  }
+  const double total = std::accumulate(votes.begin(), votes.end(), 0.0);
+  if (total > 0.0) {
+    for (double& v : votes) v /= total;
+  }
+  return votes;
 }
 
 void expect_equivalent(const RandomForest& forest, const Dataset& data) {
-  const RandomForest legacy = legacy_view(forest);
   const CompactForest* compact = forest.compact();
   ASSERT_NE(compact, nullptr);
   ASSERT_EQ(compact->num_trees(), forest.num_trees());
@@ -63,24 +76,26 @@ void expect_equivalent(const RandomForest& forest, const Dataset& data) {
   std::vector<double> proba_compact(forest.num_classes());
   for (std::size_t i = 0; i < data.rows(); ++i) {
     compact->predict_proba_into(data.row(i), proba_compact);
-    const auto proba_legacy = legacy.predict_proba(data.row(i));
-    for (std::size_t c = 0; c < proba_legacy.size(); ++c) {
-      EXPECT_NEAR(proba_compact[c], proba_legacy[c], 1e-6)
+    const auto proba_ref = reference_proba(forest, data.row(i));
+    for (std::size_t c = 0; c < proba_ref.size(); ++c) {
+      EXPECT_NEAR(proba_compact[c], proba_ref[c], 1e-6)
           << "row " << i << " class " << c;
     }
     // Leaf distributions are stored as float, so a vote total tied more
     // finely than float resolution may argmax to a different (equally
     // supported) class. Exact class agreement is required whenever the
-    // legacy top-2 margin is above that resolution; on genuine ties the
-    // compact class must still be one of the tied leaders.
+    // reference top-2 margin is above that resolution; on genuine ties
+    // the compact class must still be one of the tied leaders.
     const int cls_compact = compact->predict(data.row(i));
-    const int cls_legacy = legacy.predict(data.row(i));
-    auto sorted = proba_legacy;
+    const int cls_ref = static_cast<int>(
+        std::max_element(proba_ref.begin(), proba_ref.end()) -
+        proba_ref.begin());
+    auto sorted = proba_ref;
     std::sort(sorted.begin(), sorted.end(), std::greater<>{});
     if (sorted[0] - sorted[1] > 1e-5) {
-      EXPECT_EQ(cls_compact, cls_legacy) << "row " << i;
+      EXPECT_EQ(cls_compact, cls_ref) << "row " << i;
     } else {
-      EXPECT_NEAR(proba_legacy[static_cast<std::size_t>(cls_compact)],
+      EXPECT_NEAR(proba_ref[static_cast<std::size_t>(cls_compact)],
                   sorted[0], 1e-5)
           << "row " << i;
     }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace vqoe::ml {
 namespace {
@@ -101,6 +105,31 @@ TEST(RandomForest, ImportanceSumsToOneAndRanksSignal) {
   // The pure-noise column must matter least.
   EXPECT_LT(imp[2], imp[0]);
   EXPECT_LT(imp[2], imp[1]);
+}
+
+TEST(RandomForest, UntrainedForestRefusesEveryPrediction) {
+  // std::invalid_argument derives from std::logic_error, so the message is
+  // what tells "not trained" apart from a span or layout mismatch.
+  const RandomForest forest;
+  const Dataset d = three_blobs(5, 13);
+  std::vector<double> out(3);
+  const std::vector<std::function<void()>> calls = {
+      [&] { (void)forest.predict(d.row(0)); },
+      [&] { (void)forest.predict_proba(d.row(0)); },
+      [&] { forest.predict_proba_into(d.row(0), out); },
+      [&] { (void)forest.predict_all(d); },
+      [&] { (void)forest.predict_proba_all(d); },
+  };
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    std::string what;
+    try {
+      calls[i]();
+    } catch (const std::logic_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "RandomForest: not trained");
+  }
 }
 
 TEST(RandomForest, PredictAllChecksLayout) {

@@ -175,8 +175,8 @@ class CollectorHarness {
   explicit CollectorHarness(CollectorConfig config)
       : collector_(std::move(config)) {
     thread_ = std::thread([this] {
-      stats_ = collector_.run([this](const trace::WeblogRecord& record) {
-        records_.push_back(record);
+      stats_ = collector_.run([this](const trace::WeblogRecordView& view) {
+        records_.push_back(view.materialize());
       });
     });
   }

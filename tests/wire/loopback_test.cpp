@@ -7,7 +7,8 @@
 // Engine::ingest, at 1/2/4/8 shards and with 4 concurrent probes. Also
 // covered here: the merged feed stays time-sorted, the spool tee captures
 // a replayable copy, version negotiation refuses unsupported peers, and a
-// probe that violates stream order is cut off rather than merged.
+// probe that violates stream order (a key regression or a non-finite key)
+// is cut off rather than merged.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,30 +102,13 @@ class LoopbackTest : public ::testing::Test {
     return out;
   }
 
-  /// Which collector variant a loopback run exercises. The default is the
-  /// production shape: epoll, pooled zero-copy decode, materializing
-  /// RecordSink. Every other combination must be indistinguishable.
-  struct LoopVariant {
-    IoBackend backend = IoBackend::epoll;
-    bool pooled_decode = true;
-    bool view_sink = false;  ///< hand views to ingest(WeblogRecordView)
-    std::size_t rx_slab_bytes = 256 * 1024;
-  };
-
   /// Full loop: `probes` concurrent Probe connections, each streaming its
-  /// subscriber partition, merged by one Collector into Engine::ingest.
+  /// subscriber partition, merged by one Collector whose views go straight
+  /// into Engine::ingest(WeblogRecordView).
   static Outcome loopback_outcome(
       const std::vector<trace::WeblogRecord>& records, std::size_t shards,
-      std::size_t probes, CollectorStats* stats_out = nullptr,
-      SpoolWriter* tee = nullptr) {
-    return loopback_outcome(records, shards, probes, stats_out, tee,
-                            LoopVariant{});
-  }
-
-  static Outcome loopback_outcome(
-      const std::vector<trace::WeblogRecord>& records, std::size_t shards,
-      std::size_t probes, CollectorStats* stats_out, SpoolWriter* tee,
-      const LoopVariant& variant) {
+      std::size_t probes, SpoolWriter* tee = nullptr,
+      std::size_t rx_slab_bytes = CollectorConfig{}.rx_slab_bytes) {
     engine::EngineConfig engine_config;
     engine_config.shards = shards;
     engine::MonitorEngine eng{*pipeline_, engine_config};
@@ -132,20 +117,13 @@ class LoopbackTest : public ::testing::Test {
     config.port = 0;
     config.expected_probes = probes;
     config.tee = tee;
-    config.io_backend = variant.backend;
-    config.pooled_decode = variant.pooled_decode;
-    config.rx_slab_bytes = variant.rx_slab_bytes;
+    config.rx_slab_bytes = rx_slab_bytes;
     Collector collector{config};
 
     CollectorStats stats;
     std::thread server([&] {
-      if (variant.view_sink) {
-        stats = collector.run(Collector::ViewSink(
-            [&](const trace::WeblogRecordView& view) { eng.ingest(view); }));
-      } else {
-        stats = collector.run(
-            [&](const trace::WeblogRecord& record) { eng.ingest(record); });
-      }
+      stats = collector.run(
+          [&](const trace::WeblogRecordView& view) { eng.ingest(view); });
     });
 
     std::vector<std::thread> senders;
@@ -170,7 +148,7 @@ class LoopbackTest : public ::testing::Test {
     EXPECT_EQ(stats.probes_completed, probes);
     EXPECT_EQ(stats.records_emitted, records.size());
     EXPECT_EQ(stats.protocol_errors, 0u);
-    if (stats_out) *stats_out = stats;
+    EXPECT_EQ(stats.slabs_in_use, 0u);
 
     Outcome out;
     out.keys = sorted_keys(eng.drain());
@@ -226,49 +204,14 @@ TEST_F(LoopbackTest, FourConcurrentProbesMatchDirectIngestAcrossShardCounts) {
 }
 
 TEST_F(LoopbackTest, ZeroCopyViewSinkMatchesDirectIngestAcrossShardCounts) {
-  // The all-in optimized path: pooled slabs, in-place view decode, views
-  // handed straight to MonitorEngine::ingest(WeblogRecordView) — and small
-  // slabs so plenty of frames take the assembly fallback too.
-  LoopVariant variant;
-  variant.view_sink = true;
-  variant.rx_slab_bytes = 4096;
+  // Small slabs, so plenty of frames straddle a slab edge and take the
+  // assembly fallback instead of the in-place decode.
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const Outcome direct = direct_outcome(*live_, shards);
-    const Outcome looped =
-        loopback_outcome(*live_, shards, 4, nullptr, nullptr, variant);
+    const Outcome looped = loopback_outcome(*live_, shards, 4, nullptr, 4096);
     EXPECT_EQ(direct.keys, looped.keys);
     EXPECT_EQ(direct.per_shard_records_out, looped.per_shard_records_out);
-  }
-}
-
-TEST_F(LoopbackTest, EveryBackendAndDecodePathMatchesDirectIngest) {
-  // The event loop and the decode path are pure transport: poll vs epoll
-  // vs io_uring (when built in), pooled vs legacy copying decode — every
-  // combination must be invisible to the engine.
-  const Outcome direct = direct_outcome(*live_, 4);
-  std::vector<IoBackend> backends{IoBackend::epoll, IoBackend::poll};
-  if (io_uring_available()) backends.push_back(IoBackend::io_uring);
-  for (const IoBackend backend : backends) {
-    for (const bool pooled : {true, false}) {
-      SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
-                   " pooled=" + std::to_string(pooled));
-      LoopVariant variant;
-      variant.backend = backend;
-      variant.pooled_decode = pooled;
-      CollectorStats stats;
-      const Outcome looped =
-          loopback_outcome(*live_, 4, 2, &stats, nullptr, variant);
-      EXPECT_EQ(direct.keys, looped.keys);
-      EXPECT_EQ(direct.per_shard_records_out, looped.per_shard_records_out);
-      EXPECT_GT(stats.wakeups, 0u);
-      if (pooled) {
-        EXPECT_GT(stats.slab_acquires, 0u);
-        EXPECT_EQ(stats.slabs_in_use, 0u);
-      } else {
-        EXPECT_EQ(stats.slab_acquires, 0u);  // legacy path never pools
-      }
-    }
   }
 }
 
@@ -283,8 +226,8 @@ TEST_F(LoopbackTest, MergedFeedIsGloballyTimeSorted) {
 
   std::vector<double> merged;
   std::thread server([&] {
-    (void)collector.run([&](const trace::WeblogRecord& record) {
-      merged.push_back(record.timestamp_s);
+    (void)collector.run([&](const trace::WeblogRecordView& view) {
+      merged.push_back(view.timestamp_s);
     });
   });
   std::vector<std::thread> senders;
@@ -321,7 +264,7 @@ TEST_F(LoopbackTest, SpoolTeeCapturesReplayableMergedFeed) {
   Outcome looped;
   {
     SpoolWriter tee{dir};
-    looped = loopback_outcome(*live_, 4, 2, nullptr, &tee);
+    looped = loopback_outcome(*live_, 4, 2, &tee);
     tee.close();
   }
 
@@ -350,7 +293,8 @@ TEST_F(LoopbackTest, RefusesPeerWithUnsupportedVersion) {
   Collector collector{config};
 
   CollectorStats stats;
-  std::thread server([&] { stats = collector.run([](const trace::WeblogRecord&) {}); });
+  std::thread server(
+      [&] { stats = collector.run([](const trace::WeblogRecordView&) {}); });
 
   // Hand-rolled hello from a build that only speaks a future version.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -387,47 +331,63 @@ TEST_F(LoopbackTest, RefusesPeerWithUnsupportedVersion) {
 }
 
 TEST_F(LoopbackTest, OutOfOrderStreamIsCutOffNotMerged) {
-  CollectorConfig config;
-  config.port = 0;
-  config.expected_probes = 1;
-  Collector collector{config};
+  // One record per frame. The first record that breaks per-probe key order
+  // cuts the connection: a key running backwards, or a non-finite key —
+  // NaN compares false against everything, so it would otherwise pass the
+  // order check and switch it off for the rest of the stream.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Row {
+    std::vector<double> timestamps;
+    std::size_t valid_prefix;  ///< records before the offending one
+  };
+  const std::vector<Row> rows = {
+      {{10.0, 5.0}, 1}, {{10.0, kNaN, 5.0}, 1}, {{kInf, 10.0}, 0}};
+  for (const Row& row : rows) {
+    SCOPED_TRACE("row " + std::to_string(&row - rows.data()));
+    CollectorConfig config;
+    config.port = 0;
+    config.expected_probes = 1;
+    Collector collector{config};
 
-  CollectorStats stats;
-  std::vector<double> emitted;
-  std::thread server([&] {
-    stats = collector.run([&](const trace::WeblogRecord& record) {
-      emitted.push_back(record.timestamp_s);
+    CollectorStats stats;
+    std::vector<double> emitted;
+    std::thread server([&] {
+      stats = collector.run([&](const trace::WeblogRecordView& view) {
+        emitted.push_back(view.timestamp_s);
+      });
     });
-  });
 
-  // Two frames with the clock running backwards between them.
-  std::vector<trace::WeblogRecord> bad(2);
-  bad[0].subscriber_id = "sub-a";
-  bad[0].timestamp_s = 10.0;
-  bad[0].host = "r3---sn-h5q7dne7.googlevideo.com";
-  bad[1] = bad[0];
-  bad[1].timestamp_s = 5.0;
+    std::vector<trace::WeblogRecord> feed(row.timestamps.size());
+    for (std::size_t i = 0; i < feed.size(); ++i) {
+      feed[i].subscriber_id = "sub-a";
+      feed[i].timestamp_s = row.timestamps[i];
+      feed[i].host = "r3---sn-h5q7dne7.googlevideo.com";
+    }
+    try {
+      ProbeOptions options;
+      options.port = collector.port();
+      options.batch_records = 1;
+      Probe probe{options};
+      probe.send(feed);
+      probe.finish();
+      // The collector may have consumed the valid prefix before cutting
+      // the connection, so reaching here without a throw is itself a
+      // failure only if the collector ALSO merged the offending record.
+    } catch (const std::exception&) {
+      // Expected: the collector drops the connection; the probe sees EOF
+      // while waiting for acks.
+    }
+    server.join();
 
-  try {
-    ProbeOptions options;
-    options.port = collector.port();
-    options.batch_records = 1;
-    Probe probe{options};
-    probe.send(bad);
-    probe.finish();
-    // The collector may have consumed the valid prefix before cutting the
-    // connection, so reaching here without a throw is itself a failure
-    // only if the collector ALSO merged the regression.
-  } catch (const std::exception&) {
-    // Expected: the collector drops the connection; the probe sees EOF
-    // while waiting for acks.
+    EXPECT_EQ(stats.protocol_errors, 1u);
+    EXPECT_EQ(stats.probes_completed, 0u);
+    // Nothing from the offending record on ever reached the sink.
+    ASSERT_LE(emitted.size(), row.valid_prefix);
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+      EXPECT_EQ(emitted[i], row.timestamps[i]);
+    }
   }
-  server.join();
-
-  EXPECT_EQ(stats.protocol_errors, 1u);
-  EXPECT_EQ(stats.probes_completed, 0u);
-  // The out-of-order record never reached the sink.
-  for (const double t : emitted) EXPECT_EQ(t, 10.0);
 }
 
 }  // namespace

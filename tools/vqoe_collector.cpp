@@ -64,7 +64,6 @@ using vqoe::tool::parse_arg_or;
       "                      [--min-chunks=N] [--ack-window=N]\n"
       "                      [--window=SECONDS] [--hop=SECONDS]\n"
       "                      [--verdict-spool=DIR]\n"
-      "                      [--io-backend=epoll|poll|io_uring]\n"
       "                      [--status-every=SECONDS] [--status-json]\n"
       "                      [--shadow-model=DIR] [--model-watch]\n"
       "                      [--mem-ceiling=BYTES[k|m|g]] [--idle-gap=SECONDS]\n"
@@ -76,8 +75,6 @@ using vqoe::tool::parse_arg_or;
       "  --window=S     mid-session verdicts every S stream-seconds\n"
       "  --hop=S        window hop (< window = sliding; default tumbling)\n"
       "  --verdict-spool=DIR  tee the live verdict stream to its own spool\n"
-      "  --io-backend   event-loop backend (default epoll; io_uring needs\n"
-      "                 a build with -DVQOE_IO_URING=ON)\n"
       "  --status-every=S  print an ingest status line every S seconds\n"
       "                 (0 = off, default 5)\n"
       "  --status-json  emit status lines as one-line JSON instead of prose\n"
@@ -189,22 +186,6 @@ int main(int argc, char** argv) {
       config.merge_key = wire::MergeKey::timestamp;
     } else if (std::strcmp(key, "arrival") == 0) {
       config.merge_key = wire::MergeKey::arrival_time;
-    } else {
-      usage();
-    }
-  }
-  if (const char* backend = arg_value(argc, argv, "--io-backend")) {
-    if (std::strcmp(backend, "epoll") == 0) {
-      config.io_backend = wire::IoBackend::epoll;
-    } else if (std::strcmp(backend, "poll") == 0) {
-      config.io_backend = wire::IoBackend::poll;
-    } else if (std::strcmp(backend, "io_uring") == 0) {
-      if (!wire::io_uring_available()) {
-        std::fprintf(stderr, "--io-backend=io_uring requires a build "
-                             "configured with -DVQOE_IO_URING=ON\n");
-        return 2;
-      }
-      config.io_backend = wire::IoBackend::io_uring;
     } else {
       usage();
     }
