@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 
 #include "bench_json.h"
@@ -22,13 +23,13 @@ namespace {
 
 using namespace vqoe;
 
-const core::QoePipeline& trained_pipeline() {
-  static const auto pipeline = [] {
+const std::shared_ptr<const core::QoePipeline>& trained_pipeline() {
+  static const auto pipeline = std::make_shared<const core::QoePipeline>([] {
     auto options = workload::has_corpus_options(400, 42);
     options.keep_session_results = false;
     return core::QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(options)));
-  }();
+  }());
   return pipeline;
 }
 

@@ -71,9 +71,10 @@ BENCHMARK(BM_RepresentationFeatureConstruction)->Apply(vqoe::bench::perf_default
 void BM_StallInference(benchmark::State& state) {
   const auto& pipeline = trained_pipeline();
   const auto features = core::stall_features(sample_chunks());
+  core::DetectorScratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        pipeline.stall_detector().classify_features(features));
+        pipeline.stall_detector().classify_features(features, scratch));
   }
 }
 BENCHMARK(BM_StallInference)->Apply(vqoe::bench::perf_defaults);

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -36,13 +37,13 @@ namespace {
 using namespace vqoe;
 namespace fs = std::filesystem;
 
-const core::QoePipeline& trained_pipeline() {
-  static const auto pipeline = [] {
+const std::shared_ptr<const core::QoePipeline>& trained_pipeline() {
+  static const auto pipeline = std::make_shared<const core::QoePipeline>([] {
     auto options = workload::has_corpus_options(400, 42);
     options.keep_session_results = false;
     return core::QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(options)));
-  }();
+  }());
   return pipeline;
 }
 

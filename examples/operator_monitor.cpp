@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 
 #include "vqoe/core/model_io.h"
 #include "vqoe/core/pipeline.h"
@@ -42,7 +43,8 @@ int main() {
   std::printf("  models saved to %s\n", model_dir.c_str());
 
   // --- monitoring host: load the models ------------------------------------
-  const auto pipeline = core::load_pipeline(model_dir);
+  const auto pipeline =
+      std::make_shared<const core::QoePipeline>(core::load_pipeline(model_dir));
 
   // --- online: a day of encrypted traffic ---------------------------------
   // 40 subscribers, mixed conditions, everything TLS — the operator's feed.

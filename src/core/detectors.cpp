@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "vqoe/ml/feature_selection.h"
 #include "vqoe/ts/cusum.h"
@@ -10,48 +11,39 @@ namespace vqoe::core {
 
 namespace {
 
+/// The feature space a label type selects: column names, class names,
+/// the full-vector builder, and the detector's name for error messages.
+template <typename Label>
+struct FeatureSpace;
+
+template <>
+struct FeatureSpace<StallLabel> {
+  static constexpr const char* kDetector = "StallDetector";
+  static constexpr auto names = &stall_feature_names;
+  static constexpr auto classes = &stall_class_names;
+  static constexpr auto build = &stall_features;
+};
+
+template <>
+struct FeatureSpace<ReprLabel> {
+  static constexpr const char* kDetector = "RepresentationDetector";
+  static constexpr auto names = &representation_feature_names;
+  static constexpr auto classes = &repr_class_names;
+  static constexpr auto build = &representation_features;
+};
+
 template <typename Label>
 ml::Dataset build_dataset(std::span<const std::vector<ChunkObs>> sessions,
-                          std::span<const Label> labels,
-                          const std::vector<std::string>& feature_names,
-                          std::vector<double> (*extract)(std::span<const ChunkObs>),
-                          const std::vector<std::string>& class_names) {
+                          std::span<const Label> labels) {
+  using Space = FeatureSpace<Label>;
   if (sessions.size() != labels.size()) {
     throw std::invalid_argument{"build_dataset: sessions/labels size mismatch"};
   }
-  ml::Dataset data{feature_names, class_names};
+  ml::Dataset data{Space::names(), Space::classes()};
   for (std::size_t i = 0; i < sessions.size(); ++i) {
-    data.add(extract(sessions[i]), static_cast<int>(labels[i]));
+    data.add(Space::build(sessions[i]), static_cast<int>(labels[i]));
   }
   return data;
-}
-
-// Shared train logic of the two forest detectors: optional CFS feature
-// selection (or a fixed feature list), class balancing, forest fit.
-struct TrainedForest {
-  ml::RandomForest forest;
-  std::vector<std::string> selected;
-};
-
-TrainedForest train_forest(const ml::Dataset& data,
-                           const ForestDetectorConfig& config) {
-  TrainedForest out;
-  if (!config.fixed_features.empty()) {
-    out.selected = config.fixed_features;
-  } else if (config.feature_selection) {
-    out.selected = ml::cfs_best_first_feature_names(data);
-    if (out.selected.empty()) out.selected = data.feature_names();
-  } else {
-    out.selected = data.feature_names();
-  }
-
-  ml::Dataset projected = data.project(out.selected);
-  if (config.balance_training) {
-    std::mt19937_64 rng{config.seed};
-    projected = projected.balanced_undersample(rng);
-  }
-  out.forest = ml::RandomForest::fit(projected, config.forest);
-  return out;
 }
 
 std::vector<std::size_t> selection_indices(
@@ -69,174 +61,90 @@ std::vector<std::size_t> selection_indices(
   return idx;
 }
 
-std::vector<double> project_vector(std::span<const double> full,
-                                   std::span<const std::size_t> idx) {
-  std::vector<double> out;
-  out.reserve(idx.size());
-  for (std::size_t i : idx) out.push_back(full[i]);
-  return out;
-}
-
-/// project_vector into a reused buffer (the scratch classify path).
-void project_into(std::span<const double> full,
-                  std::span<const std::size_t> idx, std::vector<double>& out) {
-  out.resize(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = full[idx[i]];
-}
-
 }  // namespace
 
 ml::Dataset build_stall_dataset(std::span<const std::vector<ChunkObs>> sessions,
                                 std::span<const StallLabel> labels) {
-  return build_dataset(sessions, labels, stall_feature_names(), &stall_features,
-                       stall_class_names());
+  return build_dataset(sessions, labels);
 }
 
 ml::Dataset build_representation_dataset(
     std::span<const std::vector<ChunkObs>> sessions,
     std::span<const ReprLabel> labels) {
-  return build_dataset(sessions, labels, representation_feature_names(),
-                       &representation_features, repr_class_names());
+  return build_dataset(sessions, labels);
 }
 
-StallDetector StallDetector::train(const ml::Dataset& data,
-                                   const ForestDetectorConfig& config) {
-  StallDetector d;
-  auto trained = train_forest(data, config);
-  d.forest_ = std::move(trained.forest);
-  d.selected_ = std::move(trained.selected);
-  d.selected_idx_ = selection_indices(stall_feature_names(), d.selected_);
-  return d;
-}
-
-StallLabel StallDetector::classify(std::span<const ChunkObs> chunks) const {
-  return classify_features(stall_features(chunks));
-}
-
-StallLabel StallDetector::classify(std::span<const ChunkObs> chunks,
-                                   DetectorScratch& scratch) const {
-  if (!trained()) throw std::logic_error{"StallDetector: not trained"};
-  stall_features_into(chunks, scratch.features);
-  project_into(scratch.features, selected_idx_, scratch.projected);
-  return static_cast<StallLabel>(forest_.predict(scratch.projected));
-}
-
-StallLabel StallDetector::classify(std::span<const ChunkObs> chunks,
-                                   DetectorScratch& scratch,
-                                   double& confidence) const {
-  const StallLabel label = classify(chunks, scratch);
-  scratch.proba.resize(forest_.num_classes());
-  forest_.predict_proba_into(scratch.projected, scratch.proba);
-  confidence = scratch.proba[static_cast<std::size_t>(label)];
-  return label;
-}
-
-StallLabel StallDetector::classify_features(std::span<const double> features) const {
-  if (!trained()) throw std::logic_error{"StallDetector: not trained"};
-  const auto projected = project_vector(features, selected_idx_);
-  return static_cast<StallLabel>(forest_.predict(projected));
-}
-
-StallLabel StallDetector::classify_features(std::span<const double> features,
-                                            DetectorScratch& scratch) const {
-  if (!trained()) throw std::logic_error{"StallDetector: not trained"};
-  project_into(features, selected_idx_, scratch.projected);
-  return static_cast<StallLabel>(forest_.predict(scratch.projected));
-}
-
-StallLabel StallDetector::classify_features(std::span<const double> features,
-                                            DetectorScratch& scratch,
-                                            double& confidence) const {
-  const StallLabel label = classify_features(features, scratch);
-  scratch.proba.resize(forest_.num_classes());
-  forest_.predict_proba_into(scratch.projected, scratch.proba);
-  confidence = scratch.proba[static_cast<std::size_t>(label)];
-  return label;
-}
-
-StallDetector StallDetector::from_parts(ml::RandomForest forest,
-                                         std::vector<std::string> selected) {
-  if (forest.feature_names() != selected) {
-    throw std::invalid_argument{
-        "StallDetector::from_parts: forest/selection layout mismatch"};
-  }
-  StallDetector d;
-  d.selected_idx_ = selection_indices(stall_feature_names(), selected);
-  d.forest_ = std::move(forest);
-  d.selected_ = std::move(selected);
-  return d;
-}
-
-RepresentationDetector RepresentationDetector::train(
+template <typename Label>
+ForestDetector<Label> ForestDetector<Label>::train(
     const ml::Dataset& data, const ForestDetectorConfig& config) {
-  RepresentationDetector d;
-  auto trained = train_forest(data, config);
-  d.forest_ = std::move(trained.forest);
-  d.selected_ = std::move(trained.selected);
-  d.selected_idx_ = selection_indices(representation_feature_names(), d.selected_);
+  // Optional CFS feature selection (or a fixed feature list), class
+  // balancing, forest fit.
+  ForestDetector d;
+  if (!config.fixed_features.empty()) {
+    d.selected_ = config.fixed_features;
+  } else if (config.feature_selection) {
+    d.selected_ = ml::cfs_best_first_feature_names(data);
+    if (d.selected_.empty()) d.selected_ = data.feature_names();
+  } else {
+    d.selected_ = data.feature_names();
+  }
+
+  ml::Dataset projected = data.project(d.selected_);
+  if (config.balance_training) {
+    std::mt19937_64 rng{config.seed};
+    projected = projected.balanced_undersample(rng);
+  }
+  d.forest_ = ml::RandomForest::fit(projected, config.forest);
+  d.selected_idx_ =
+      selection_indices(FeatureSpace<Label>::names(), d.selected_);
   return d;
 }
 
-ReprLabel RepresentationDetector::classify(std::span<const ChunkObs> chunks) const {
-  return classify_features(representation_features(chunks));
+template <typename Label>
+Label ForestDetector<Label>::classify(std::span<const ChunkObs> chunks) const {
+  DetectorScratch scratch;
+  return classify_features(FeatureSpace<Label>::build(chunks), scratch);
 }
 
-ReprLabel RepresentationDetector::classify(std::span<const ChunkObs> chunks,
-                                           DetectorScratch& scratch) const {
+template <typename Label>
+Label ForestDetector<Label>::classify_features(std::span<const double> full,
+                                               DetectorScratch& scratch) const {
+  using Space = FeatureSpace<Label>;
   if (!trained()) {
-    throw std::logic_error{"RepresentationDetector: not trained"};
+    throw std::logic_error{std::string{Space::kDetector} + ": not trained"};
   }
-  representation_features_into(chunks, scratch.features);
-  project_into(scratch.features, selected_idx_, scratch.projected);
-  return static_cast<ReprLabel>(forest_.predict(scratch.projected));
-}
-
-ReprLabel RepresentationDetector::classify(std::span<const ChunkObs> chunks,
-                                           DetectorScratch& scratch,
-                                           double& confidence) const {
-  const ReprLabel label = classify(chunks, scratch);
+  if (full.size() != Space::names().size()) {
+    throw std::invalid_argument{
+        std::string{Space::kDetector} + ": feature vector has " +
+        std::to_string(full.size()) + " columns, expected " +
+        std::to_string(Space::names().size())};
+  }
+  scratch.projected.resize(selected_idx_.size());
+  for (std::size_t i = 0; i < selected_idx_.size(); ++i) {
+    scratch.projected[i] = full[selected_idx_[i]];
+  }
   scratch.proba.resize(forest_.num_classes());
-  forest_.predict_proba_into(scratch.projected, scratch.proba);
-  confidence = scratch.proba[static_cast<std::size_t>(label)];
-  return label;
+  return static_cast<Label>(
+      forest_.predict_proba_into(scratch.projected, scratch.proba));
 }
 
-ReprLabel RepresentationDetector::classify_features(
-    std::span<const double> features) const {
-  if (!trained()) throw std::logic_error{"RepresentationDetector: not trained"};
-  const auto projected = project_vector(features, selected_idx_);
-  return static_cast<ReprLabel>(forest_.predict(projected));
-}
-
-ReprLabel RepresentationDetector::classify_features(
-    std::span<const double> features, DetectorScratch& scratch) const {
-  if (!trained()) throw std::logic_error{"RepresentationDetector: not trained"};
-  project_into(features, selected_idx_, scratch.projected);
-  return static_cast<ReprLabel>(forest_.predict(scratch.projected));
-}
-
-ReprLabel RepresentationDetector::classify_features(
-    std::span<const double> features, DetectorScratch& scratch,
-    double& confidence) const {
-  const ReprLabel label = classify_features(features, scratch);
-  scratch.proba.resize(forest_.num_classes());
-  forest_.predict_proba_into(scratch.projected, scratch.proba);
-  confidence = scratch.proba[static_cast<std::size_t>(label)];
-  return label;
-}
-
-RepresentationDetector RepresentationDetector::from_parts(
+template <typename Label>
+ForestDetector<Label> ForestDetector<Label>::from_parts(
     ml::RandomForest forest, std::vector<std::string> selected) {
   if (forest.feature_names() != selected) {
     throw std::invalid_argument{
-        "RepresentationDetector::from_parts: forest/selection layout mismatch"};
+        std::string{FeatureSpace<Label>::kDetector} +
+        "::from_parts: forest/selection layout mismatch"};
   }
-  RepresentationDetector d;
-  d.selected_idx_ = selection_indices(representation_feature_names(), selected);
+  ForestDetector d;
+  d.selected_idx_ = selection_indices(FeatureSpace<Label>::names(), selected);
   d.forest_ = std::move(forest);
   d.selected_ = std::move(selected);
   return d;
 }
+
+template class ForestDetector<StallLabel>;
+template class ForestDetector<ReprLabel>;
 
 double SwitchDetector::score(std::span<const ChunkObs> chunks) const {
   const auto signal = switch_signal(chunks, config_.skip_initial_s);

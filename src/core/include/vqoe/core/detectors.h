@@ -5,6 +5,8 @@
 //    no/mild/severe stalling. Trained class-balanced.
 //  * RepresentationDetector (Section 4.2): Random Forest over the
 //    210-feature set, CFS-selected, classifying LD/SD/HD average quality.
+//    Both are one algorithm, ForestDetector<Label>, whose label type picks
+//    the feature space.
 //  * SwitchDetector (Section 4.3): no learning — the standard deviation of
 //    the CUSUM control chart of Δsize x Δt, thresholded at a fixed value
 //    (500 KB·s in the paper, eq. 3) after dropping the first 10 s of the
@@ -38,16 +40,36 @@ namespace vqoe::core {
     std::span<const std::vector<ChunkObs>> sessions,
     std::span<const ReprLabel> labels);
 
-/// Reusable buffers for the streaming classification path. The allocating
-/// classify()/classify_features() overloads build a fresh feature vector
-/// and projection per call; long-lived scorers (OnlineMonitor, each engine
-/// shard) own one DetectorScratch and pass it to the scratch overloads so
-/// per-session heap traffic disappears. Not for concurrent sharing — one
-/// instance per scoring thread.
+/// The full model-independent feature vectors behind one assessment.
+/// Feature construction (features.h) does not depend on the model — only
+/// the selection indices inside each detector do — so a capture made by
+/// the active model lets any other model classify the same span for the
+/// cost of a projection and a forest walk (the shadow-scoring fast path:
+/// no second percentile-sorting feature build). An empty vector means
+/// "not captured".
+struct SessionFeatures {
+  std::vector<double> stall;  ///< full 70-dim stall vector
+  std::vector<double> repr;   ///< full 210-dim vector; empty when the
+                              ///< assessing pipeline skipped the detector
+  /// skip_initial_s of the SwitchDetector behind `switch_score`. The CUSUM
+  /// statistic depends on the chunk span and this skip alone — a model
+  /// whose skip matches can reuse the score verbatim instead of rebuilding
+  /// the signal. Negative = no capture.
+  double switch_skip_s = -1.0;
+  double switch_score = 0.0;
+};
+
+/// Reusable buffers for the streaming classification path. Long-lived
+/// scorers (OnlineMonitor, each engine shard, each shadow scorer) own one
+/// DetectorScratch and pass it to every call, so per-session heap traffic
+/// disappears. Not for concurrent sharing — one instance per scoring
+/// thread.
 struct DetectorScratch {
-  std::vector<double> features;   ///< full 70-/210-dim feature vector
+  /// The vectors the last QoePipeline::assess_scored call built (a vector
+  /// it did not build is empty) — what a ScoreObserver reads.
+  SessionFeatures features;
   std::vector<double> projected;  ///< selected columns, forest input order
-  std::vector<double> proba;      ///< class-distribution output buffer
+  std::vector<double> proba;      ///< normalised class distribution
 };
 
 /// Shared configuration of the two forest-based detectors.
@@ -66,48 +88,30 @@ struct ForestDetectorConfig {
   std::uint64_t seed = 99;
 };
 
-/// Random-Forest stall severity detector.
-class StallDetector {
+/// A Random-Forest detector over the CFS-selected columns of one feature
+/// space. The label type selects the space: StallLabel the 70-feature
+/// stall set, ReprLabel the 210-feature representation set.
+template <typename Label>
+class ForestDetector {
  public:
-  StallDetector() = default;
+  /// Trains on a dataset of this label's feature space
+  /// (build_stall_dataset / build_representation_dataset).
+  static ForestDetector train(const ml::Dataset& data,
+                              const ForestDetectorConfig& config = {});
 
-  /// Trains on a 70-column dataset from build_stall_dataset().
-  static StallDetector train(const ml::Dataset& data,
-                             const ForestDetectorConfig& config = {});
+  /// Classifies one session from its chunk view (offline evaluation:
+  /// builds a fresh feature vector per call).
+  [[nodiscard]] Label classify(std::span<const ChunkObs> chunks) const;
 
-  /// Classifies one session from its operator-visible chunk view.
-  [[nodiscard]] StallLabel classify(std::span<const ChunkObs> chunks) const;
-
-  /// classify() through caller-owned scratch buffers: no per-call heap
-  /// allocation (the streaming monitors' hot path).
-  [[nodiscard]] StallLabel classify(std::span<const ChunkObs> chunks,
-                                    DetectorScratch& scratch) const;
-
-  /// classify() plus the forest's confidence in the returned label — the
-  /// share of trees voting for it. The label comes from the identical
-  /// predict() call the confidence-free overload makes (confidence is a
-  /// separate predict_proba pass over the same projection), so asking for
-  /// confidence can never change a verdict.
-  [[nodiscard]] StallLabel classify(std::span<const ChunkObs> chunks,
-                                    DetectorScratch& scratch,
-                                    double& confidence) const;
-
-  /// Classifies a precomputed full (70-dim) stall feature vector.
-  [[nodiscard]] StallLabel classify_features(std::span<const double> features) const;
-
-  /// classify_features() through caller-owned scratch: projection + forest
-  /// walk only, no per-call heap. This is how a shadow model scores a span
-  /// whose feature vector the active model already built — the feature set
-  /// is model-independent, only the selection indices differ.
-  [[nodiscard]] StallLabel classify_features(std::span<const double> features,
-                                             DetectorScratch& scratch) const;
-
-  /// Scratch classify_features() plus the forest's vote share behind the
-  /// label (same invariant as the chunk overload: the label path is
-  /// unchanged, confidence is an extra predict_proba pass).
-  [[nodiscard]] StallLabel classify_features(std::span<const double> features,
-                                             DetectorScratch& scratch,
-                                             double& confidence) const;
+  /// Classifies a full feature vector of this detector's space: projects
+  /// the selected columns into `scratch.projected` and walks the forest
+  /// once. The label is the argmax of the summed votes (RandomForest::
+  /// predict); `scratch.proba` is left holding the normalised distribution
+  /// (RandomForest::predict_proba_into), so the label's confidence is
+  /// `scratch.proba[label]`. Throws std::logic_error when untrained and
+  /// std::invalid_argument when `full` is not exactly as wide as the space.
+  [[nodiscard]] Label classify_features(std::span<const double> full,
+                                        DetectorScratch& scratch) const;
 
   [[nodiscard]] const std::vector<std::string>& selected_features() const {
     return selected_;
@@ -116,60 +120,24 @@ class StallDetector {
   [[nodiscard]] bool trained() const { return forest_.trained(); }
 
   /// Rebuilds a detector from persisted parts (model_io.h). The forest's
-  /// feature layout must equal `selected`, and every name must be a valid
-  /// stall feature.
-  static StallDetector from_parts(ml::RandomForest forest,
-                                  std::vector<std::string> selected);
+  /// feature layout must equal `selected`, and every name must belong to
+  /// this detector's feature space.
+  static ForestDetector from_parts(ml::RandomForest forest,
+                                   std::vector<std::string> selected);
 
  private:
   ml::RandomForest forest_;
   std::vector<std::string> selected_;
-  std::vector<std::size_t> selected_idx_;  ///< indices into the full 70-dim vector
+  std::vector<std::size_t> selected_idx_;  ///< indices into the full vector
 };
 
-/// Random-Forest average-representation detector.
-class RepresentationDetector {
- public:
-  RepresentationDetector() = default;
+extern template class ForestDetector<StallLabel>;
+extern template class ForestDetector<ReprLabel>;
 
-  /// Trains on a 210-column dataset from build_representation_dataset().
-  static RepresentationDetector train(const ml::Dataset& data,
-                                      const ForestDetectorConfig& config = {});
-
-  [[nodiscard]] ReprLabel classify(std::span<const ChunkObs> chunks) const;
-  /// classify() through caller-owned scratch buffers (no per-call heap).
-  [[nodiscard]] ReprLabel classify(std::span<const ChunkObs> chunks,
-                                   DetectorScratch& scratch) const;
-  /// classify() plus the forest's vote share behind the label (see the
-  /// StallDetector overload: the label path is unchanged).
-  [[nodiscard]] ReprLabel classify(std::span<const ChunkObs> chunks,
-                                   DetectorScratch& scratch,
-                                   double& confidence) const;
-  [[nodiscard]] ReprLabel classify_features(std::span<const double> features) const;
-  /// Scratch overload: projection + forest walk over a precomputed full
-  /// 210-dim vector (see the StallDetector overload).
-  [[nodiscard]] ReprLabel classify_features(std::span<const double> features,
-                                            DetectorScratch& scratch) const;
-  /// Scratch classify_features() plus the label's vote share.
-  [[nodiscard]] ReprLabel classify_features(std::span<const double> features,
-                                            DetectorScratch& scratch,
-                                            double& confidence) const;
-
-  [[nodiscard]] const std::vector<std::string>& selected_features() const {
-    return selected_;
-  }
-  [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
-  [[nodiscard]] bool trained() const { return forest_.trained(); }
-
-  /// Rebuilds a detector from persisted parts (model_io.h).
-  static RepresentationDetector from_parts(ml::RandomForest forest,
-                                           std::vector<std::string> selected);
-
- private:
-  ml::RandomForest forest_;
-  std::vector<std::string> selected_;
-  std::vector<std::size_t> selected_idx_;
-};
+/// Random-Forest stall severity detector (Section 4.1).
+using StallDetector = ForestDetector<StallLabel>;
+/// Random-Forest average-representation detector (Section 4.2).
+using RepresentationDetector = ForestDetector<ReprLabel>;
 
 /// CUSUM-based representation switch detector (eq. 3).
 class SwitchDetector {

@@ -13,7 +13,7 @@
 // advance_to tick moving the stream clock past its end), the ingest path
 // only records the window's chunk span and accumulator summary — O(1), no
 // inference. take_verdicts() then scores each pending window through the
-// same QoePipeline::assess code path as session close, yielding a
+// same QoePipeline::assess_scored code path as session close, yielding a
 // window::WindowVerdict (labels + forest confidences + the accumulator's
 // summary) per window. Deferring the forest to harvest time keeps the
 // per-record ingest overhead to the accumulator updates (bench/perf_window
@@ -312,12 +312,9 @@ class OnlineMonitor {
   std::uint64_t generation_ = 0;
   /// Classification buffers reused across every session this monitor
   /// scores (the monitor is single-threaded; engine shards each own one
-  /// monitor and therefore one scratch).
+  /// monitor and therefore one scratch). Its feature capture is what the
+  /// observer is handed, so a shadow model skips the feature build.
   DetectorScratch scratch_;
-  /// Feature-vector capture reused across assessments, populated only when
-  /// an observer is attached (the capture overloads of QoePipeline) and
-  /// handed to the observer so a shadow model skips the feature build.
-  QoePipeline::SessionFeatures features_scratch_;
   /// Declared before every arena-backed member: destruction order tears
   /// the containers down while the arena still exists.
   mem::SessionArena arena_;

@@ -76,58 +76,41 @@ class QoePipeline {
   static QoePipeline from_parts(StallDetector stall, RepresentationDetector repr,
                                 SwitchDetector switches);
 
-  /// Assesses one session from its chunk view.
+  /// Assesses one session from its chunk view: assess_scored() with a
+  /// throwaway scratch, keeping the report.
   [[nodiscard]] QoeReport assess(std::span<const ChunkObs> chunks) const;
 
-  /// assess() through caller-owned scratch buffers: the feature vectors
-  /// and forest-input projections of both detectors reuse `scratch`
-  /// instead of allocating per session. One scratch per scoring thread
-  /// (OnlineMonitor and each engine shard own theirs).
+  /// assess_scored() through caller-owned scratch, keeping the report.
   [[nodiscard]] QoeReport assess(std::span<const ChunkObs> chunks,
                                  DetectorScratch& scratch) const;
 
-  /// assess() plus the forest confidences behind the two labels — the
-  /// scoring path of the live window-verdict stream. The embedded report
-  /// is produced by the same predict() calls assess() makes (confidence is
-  /// an extra predict_proba pass), so a windowed verdict over a span is
-  /// bit-identical to assess() over that span — the invariant behind the
-  /// full-session-window equivalence tests.
+  /// A report plus the forest confidences behind its two labels — each the
+  /// label's share of the normalised forest vote.
   struct ScoredReport {
     QoeReport report;
     double stall_confidence = 0.0;
     double repr_confidence = 0.0;  ///< 0 when the detector is untrained
   };
-  [[nodiscard]] ScoredReport assess_scored(std::span<const ChunkObs> chunks,
-                                           DetectorScratch& scratch) const;
 
-  /// The full model-independent feature vectors behind one assessment.
-  /// Feature construction (features.h) does not depend on the model — only
-  /// the selection indices inside each detector do — so a capture made by
-  /// the active model lets any other model classify the same span for the
-  /// cost of a projection and a forest walk (the shadow-scoring fast
-  /// path: no second percentile-sorting feature build).
-  struct SessionFeatures {
-    std::vector<double> stall;  ///< full 70-dim stall vector
-    std::vector<double> repr;   ///< full 210-dim vector; empty when the
-                                ///< assessing pipeline skipped the detector
-    /// skip_initial_s of the SwitchDetector that produced the report's
-    /// switch_score. The CUSUM statistic depends on the chunk span and this
-    /// skip alone — a shadow whose skip matches can reuse the active score
-    /// verbatim instead of rebuilding the signal. Negative = no capture.
-    double switch_skip_s = -1.0;
-  };
+  /// The full model-independent feature vectors behind one assessment
+  /// (detectors.h); ScoreObserver and shadow scoring spell it this way.
+  using SessionFeatures = core::SessionFeatures;
 
-  /// assess() that also captures the feature vectors it built. The report
-  /// is bit-identical to assess(chunks, scratch) — same builders, same
-  /// projection, same forest walks.
-  [[nodiscard]] QoeReport assess(std::span<const ChunkObs> chunks,
-                                 DetectorScratch& scratch,
-                                 SessionFeatures& features) const;
-
-  /// assess_scored() with the same feature capture.
-  [[nodiscard]] ScoredReport assess_scored(std::span<const ChunkObs> chunks,
-                                           DetectorScratch& scratch,
-                                           SessionFeatures& features) const;
+  /// The one scoring path: session close, window verdicts and shadow
+  /// scoring all come through here, so a windowed verdict over a span is
+  /// bit-identical to the session-close report over that span. Each
+  /// detector walks its forest once for both label and confidence.
+  ///
+  /// The full feature vectors are built into `scratch.features`, where an
+  /// observer reads them. With `known` (another model's capture of the
+  /// same span — it must not be `scratch.features` itself), its non-empty
+  /// vectors are classified instead of rebuilt, and its CUSUM score is
+  /// reused when its skip matches this pipeline's; a vector this call did
+  /// not build is left empty in `scratch.features`. Reusing scratch across
+  /// calls avoids per-session heap traffic: one scratch per scoring thread.
+  [[nodiscard]] ScoredReport assess_scored(
+      std::span<const ChunkObs> chunks, DetectorScratch& scratch,
+      const SessionFeatures* known = nullptr) const;
 
   [[nodiscard]] const StallDetector& stall_detector() const { return stall_; }
   [[nodiscard]] const RepresentationDetector& representation_detector() const {

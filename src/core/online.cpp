@@ -178,12 +178,8 @@ void OnlineMonitor::score_pending(std::string_view subscriber,
                                   const mem::SlabChain<ChunkObs>& chunk_log) {
   const std::span<const ChunkObs> span =
       chunk_log.view(w.begin_chunk, w.end_chunk, span_scratch_);
-  // With an observer attached, capture the feature vectors so the shadow
-  // model can reuse them; the verdict math is identical either way.
   const QoePipeline::ScoredReport scored =
-      config_.observer != nullptr
-          ? pipeline_->assess_scored(span, scratch_, features_scratch_)
-          : pipeline_->assess_scored(span, scratch_);
+      pipeline_->assess_scored(span, scratch_);
 
   window::WindowVerdict verdict;
   verdict.subscriber_id = std::string(subscriber);
@@ -202,7 +198,7 @@ void OnlineMonitor::score_pending(std::string_view subscriber,
   verdict.window_cusum = w.window_cusum;
   verdict.mean_goodput_kbps = w.mean_goodput_kbps;
   if (config_.observer != nullptr) {
-    config_.observer->on_window(subscriber, span, features_scratch_, verdict);
+    config_.observer->on_window(subscriber, span, scratch_.features, verdict);
   }
   verdicts_.push_back(std::move(verdict));
   ++verdicts_emitted_;
@@ -239,12 +235,10 @@ void OnlineMonitor::close(std::string_view subscriber,
   done.chunk_count = session.chunks.size();
   const std::span<const ChunkObs> span =
       session.chunks.view(0, session.chunks.size(), span_scratch_);
+  done.report = pipeline_->assess(span, scratch_);
   if (config_.observer != nullptr) {
-    done.report = pipeline_->assess(span, scratch_, features_scratch_);
-    config_.observer->on_session(session.key, span, features_scratch_,
+    config_.observer->on_session(session.key, span, scratch_.features,
                                  done.report);
-  } else {
-    done.report = pipeline_->assess(span, scratch_);
   }
   // Only after the session-close assessment: detaching moves the chunk log
   // out of the session for the still-pending windows to alias.

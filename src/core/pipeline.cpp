@@ -9,6 +9,25 @@
 
 namespace vqoe::core {
 
+namespace {
+
+/// The full vector one detector classifies: `known` when it holds one,
+/// else a fresh build into `built` (emptied when unused, so a capture never
+/// outlives its call).
+std::span<const double> full_vector(
+    std::span<const ChunkObs> chunks,
+    void (*build)(std::span<const ChunkObs>, std::vector<double>&),
+    const std::vector<double>* known, std::vector<double>& built) {
+  if (known != nullptr && !known->empty()) {
+    built.clear();
+    return *known;
+  }
+  build(chunks, built);
+  return built;
+}
+
+}  // namespace
+
 std::vector<SessionRecord> sessions_from_corpus(const workload::Corpus& corpus) {
   const auto groups = trace::group_by_session_id(corpus.weblogs);
   std::map<std::string, const trace::SessionGroundTruth*> truth_by_id;
@@ -93,69 +112,43 @@ QoePipeline QoePipeline::from_parts(StallDetector stall,
 
 QoeReport QoePipeline::assess(std::span<const ChunkObs> chunks) const {
   DetectorScratch scratch;
-  return assess(chunks, scratch);
+  return assess_scored(chunks, scratch).report;
 }
 
 QoeReport QoePipeline::assess(std::span<const ChunkObs> chunks,
                               DetectorScratch& scratch) const {
-  QoeReport report;
-  report.stall = stall_.classify(chunks, scratch);
-  if (repr_.trained()) report.representation = repr_.classify(chunks, scratch);
-  report.switch_score = switch_.score(chunks);
-  report.quality_switches = report.switch_score > switch_.config().threshold;
-  return report;
-}
-
-QoePipeline::ScoredReport QoePipeline::assess_scored(
-    std::span<const ChunkObs> chunks, DetectorScratch& scratch) const {
-  ScoredReport scored;
-  scored.report.stall = stall_.classify(chunks, scratch, scored.stall_confidence);
-  if (repr_.trained()) {
-    scored.report.representation =
-        repr_.classify(chunks, scratch, scored.repr_confidence);
-  }
-  scored.report.switch_score = switch_.score(chunks);
-  scored.report.quality_switches =
-      scored.report.switch_score > switch_.config().threshold;
-  return scored;
-}
-
-QoeReport QoePipeline::assess(std::span<const ChunkObs> chunks,
-                              DetectorScratch& scratch,
-                              SessionFeatures& features) const {
-  QoeReport report;
-  stall_features_into(chunks, features.stall);
-  report.stall = stall_.classify_features(features.stall, scratch);
-  if (repr_.trained()) {
-    representation_features_into(chunks, features.repr);
-    report.representation = repr_.classify_features(features.repr, scratch);
-  } else {
-    features.repr.clear();
-  }
-  features.switch_skip_s = switch_.config().skip_initial_s;
-  report.switch_score = switch_.score(chunks);
-  report.quality_switches = report.switch_score > switch_.config().threshold;
-  return report;
+  return assess_scored(chunks, scratch).report;
 }
 
 QoePipeline::ScoredReport QoePipeline::assess_scored(
     std::span<const ChunkObs> chunks, DetectorScratch& scratch,
-    SessionFeatures& features) const {
+    const SessionFeatures* known) const {
+  SessionFeatures& built = scratch.features;
   ScoredReport scored;
-  stall_features_into(chunks, features.stall);
-  scored.report.stall = stall_.classify_features(features.stall, scratch,
-                                                 scored.stall_confidence);
+  scored.report.stall = stall_.classify_features(
+      full_vector(chunks, &stall_features_into,
+                  known != nullptr ? &known->stall : nullptr, built.stall),
+      scratch);
+  scored.stall_confidence =
+      scratch.proba[static_cast<std::size_t>(scored.report.stall)];
   if (repr_.trained()) {
-    representation_features_into(chunks, features.repr);
     scored.report.representation = repr_.classify_features(
-        features.repr, scratch, scored.repr_confidence);
+        full_vector(chunks, &representation_features_into,
+                    known != nullptr ? &known->repr : nullptr, built.repr),
+        scratch);
+    scored.repr_confidence =
+        scratch.proba[static_cast<std::size_t>(scored.report.representation)];
   } else {
-    features.repr.clear();
+    built.repr.clear();
   }
-  features.switch_skip_s = switch_.config().skip_initial_s;
-  scored.report.switch_score = switch_.score(chunks);
-  scored.report.quality_switches =
-      scored.report.switch_score > switch_.config().threshold;
+  const SwitchDetector::Config& switches = switch_.config();
+  built.switch_skip_s = switches.skip_initial_s;
+  built.switch_score =
+      known != nullptr && known->switch_skip_s == switches.skip_initial_s
+          ? known->switch_score
+          : switch_.score(chunks);
+  scored.report.switch_score = built.switch_score;
+  scored.report.quality_switches = built.switch_score > switches.threshold;
   return scored;
 }
 

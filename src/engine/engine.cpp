@@ -21,14 +21,6 @@ inline void backoff(std::size_t& idle_rounds) {
 
 }  // namespace
 
-MonitorEngine::MonitorEngine(const core::QoePipeline& pipeline,
-                             EngineConfig config)
-    // Non-owning aliasing shared_ptr: the borrowed-reference contract of
-    // this ctor is unchanged — the caller keeps the pipeline alive.
-    : MonitorEngine(std::shared_ptr<const core::QoePipeline>(
-                        std::shared_ptr<const core::QoePipeline>{}, &pipeline),
-                    config) {}
-
 MonitorEngine::MonitorEngine(std::shared_ptr<const core::QoePipeline> pipeline,
                              EngineConfig config)
     : config_(std::move(config)), router_(config_.shards) {
@@ -68,28 +60,7 @@ void MonitorEngine::note_queue_depth(Shard& shard) {
 }
 
 bool MonitorEngine::ingest(const trace::WeblogRecord& record) {
-  if (stopped_) return false;
-  maybe_watermark(record.timestamp_s);
-
-  Shard& shard = *shards_[router_.shard_of(record.subscriber_id)];
-  // order: relaxed — independent counter; nothing is ordered against it
-  shard.records_in.fetch_add(1, std::memory_order_relaxed);
-
-  Item item;
-  item.kind = Item::Kind::record;
-  item.record = record;
-  if (config_.backpressure == BackpressurePolicy::Block) {
-    push_blocking(shard, std::move(item));
-    note_queue_depth(shard);
-    return true;
-  }
-  if (shard.queue.try_push(std::move(item))) {
-    note_queue_depth(shard);
-    return true;
-  }
-  // order: relaxed — shed counter; stats() reads are advisory snapshots
-  shard.dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return ingest(trace::WeblogRecordView::of(record));
 }
 
 bool MonitorEngine::ingest(const trace::WeblogRecordView& view) {

@@ -169,13 +169,8 @@ class ShardRouter {
 /// harvest() and stats() may be called concurrently from any thread.
 class MonitorEngine {
  public:
-  /// @param pipeline trained detectors; borrowed, must outlive the engine
-  ///        (and any model later passed to swap_model()).
-  explicit MonitorEngine(const core::QoePipeline& pipeline,
-                         EngineConfig config = {});
-
-  /// Shared-ownership variant: the engine keeps the model alive itself —
-  /// the shape hot-swap deployments use. Must not be null.
+  /// @param pipeline trained detectors, shared with every shard (and with
+  ///        whoever else holds the model). Must not be null.
   explicit MonitorEngine(std::shared_ptr<const core::QoePipeline> pipeline,
                          EngineConfig config = {});
   ~MonitorEngine();
@@ -183,17 +178,18 @@ class MonitorEngine {
   MonitorEngine(const MonitorEngine&) = delete;
   MonitorEngine& operator=(const MonitorEngine&) = delete;
 
+  /// Routes one record to its subscriber's shard: ingest(view) over a view
+  /// of `record`.
+  bool ingest(const trace::WeblogRecord& record);
+
   /// Routes one record to its subscriber's shard. Records must arrive in
   /// non-decreasing timestamp order. Returns false when the record was
   /// shed (DropNewest with a full queue) or the engine is already drained.
-  bool ingest(const trace::WeblogRecord& record);
-
-  /// Zero-copy variant for the wire ingest path: the view (typically
-  /// pointing into a collector socket buffer) is materialized directly
-  /// into the shard's ring slot — assignment into the resident record
-  /// recycles the slot's string capacity, so a warmed-up engine ingests
-  /// without allocating. Semantics are identical to ingest(record); the
-  /// view only needs to stay valid for the duration of the call.
+  /// The view (typically pointing into a collector socket buffer) is
+  /// materialized directly into the shard's ring slot — assignment into
+  /// the resident record recycles the slot's string capacity, so a
+  /// warmed-up engine ingests without allocating. The view only needs to
+  /// stay valid for the duration of the call.
   bool ingest(const trace::WeblogRecordView& view);
 
   /// Broadcasts a watermark tick to every shard: sessions idle past the

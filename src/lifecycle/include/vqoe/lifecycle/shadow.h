@@ -8,14 +8,14 @@
 // verdicts are what the monitor emits either way — a shadow model can
 // never change an emitted label, only the divergence counters.
 //
-// Cost: one projection + forest walk per scored session/window, nothing
-// per record. The monitor hands over the full feature vectors the active
-// model just built (features are model-independent — only the selection
-// indices inside each detector differ), so the shadow never repeats the
-// expensive percentile-sorting feature build; only its CUSUM switch score
-// is recomputed from the chunks (its skip/threshold config may differ).
-// The shadow path also deliberately skips the confidence pass the live
-// window stream pays for — agreement is about argmax labels.
+// Cost: one projection + forest walk per detector per scored
+// session/window, nothing per record. The shadow scores through the same
+// QoePipeline::assess_scored as the active model, handing it the full
+// feature vectors the active model just built (features are
+// model-independent — only the selection indices inside each detector
+// differ), so the shadow never repeats the expensive percentile-sorting
+// feature build, and it reuses the active CUSUM switch score when the two
+// models skip the same start-up interval.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +64,7 @@ class ShadowScorer {
   /// `features` is the active model's capture for this span; empty vectors
   /// fall back to rebuilding from `chunks` (e.g. the active pipeline left
   /// its representation detector untrained but the shadow trained one).
+  /// A non-empty vector of the wrong width throws std::invalid_argument.
   void score_session(std::span<const core::ChunkObs> chunks,
                      const core::QoePipeline::SessionFeatures& features,
                      const core::QoeReport& active);
@@ -84,17 +85,6 @@ class ShadowScorer {
   }
 
  private:
-  /// Shadow assessment of one span: classify from the captured feature
-  /// vectors where available (projection + forest walk), rebuild from
-  /// chunks where not; reuse `active_switch_score` when the capture says
-  /// the active CUSUM skip matches the shadow's (the statistic is then the
-  /// same value — only the thresholds can differ). Bit-identical to
-  /// shadow_->assess(chunks, scratch_).
-  [[nodiscard]] core::QoeReport assess_shadow(
-      std::span<const core::ChunkObs> chunks,
-      const core::QoePipeline::SessionFeatures& features,
-      double active_switch_score);
-
   /// Tallies one active-vs-shadow comparison into the counters.
   void tally(const core::QoeReport& active, const core::QoeReport& shadow);
 

@@ -20,37 +20,12 @@ void ShadowScorer::tally(const core::QoeReport& active,
   if (diverged) ++stats_.disagreements;
 }
 
-core::QoeReport ShadowScorer::assess_shadow(
-    std::span<const core::ChunkObs> chunks,
-    const core::QoePipeline::SessionFeatures& features,
-    double active_switch_score) {
-  core::QoeReport report;
-  report.stall =
-      !features.stall.empty()
-          ? shadow_->stall_detector().classify_features(features.stall, scratch_)
-          : shadow_->stall_detector().classify(chunks, scratch_);
-  const core::RepresentationDetector& repr = shadow_->representation_detector();
-  if (repr.trained()) {
-    report.representation =
-        !features.repr.empty()
-            ? repr.classify_features(features.repr, scratch_)
-            : repr.classify(chunks, scratch_);
-  }
-  const core::SwitchDetector& switches = shadow_->switch_detector();
-  report.switch_score =
-      features.switch_skip_s == switches.config().skip_initial_s
-          ? active_switch_score
-          : switches.score(chunks);
-  report.quality_switches = report.switch_score > switches.config().threshold;
-  return report;
-}
-
 void ShadowScorer::score_session(std::span<const core::ChunkObs> chunks,
                                  const core::QoePipeline::SessionFeatures& features,
                                  const core::QoeReport& active) {
   if (!enabled()) return;
   ++stats_.sessions;
-  tally(active, assess_shadow(chunks, features, active.switch_score));
+  tally(active, shadow_->assess_scored(chunks, scratch_, &features).report);
 }
 
 void ShadowScorer::score_window(std::span<const core::ChunkObs> chunks,
@@ -59,7 +34,7 @@ void ShadowScorer::score_window(std::span<const core::ChunkObs> chunks,
   if (!enabled()) return;
   ++stats_.windows;
   const core::QoeReport shadow =
-      assess_shadow(chunks, features, active.switch_score);
+      shadow_->assess_scored(chunks, scratch_, &features).report;
   core::QoeReport active_report;
   active_report.stall = static_cast<core::StallLabel>(active.stall);
   active_report.representation =

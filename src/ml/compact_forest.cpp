@@ -262,18 +262,23 @@ int CompactForest::predict(std::span<const double> features) const {
   return argmax_class(votes);
 }
 
-void CompactForest::predict_proba_into(std::span<const double> features,
-                                       std::span<double> out) const {
+int CompactForest::predict_proba_into(std::span<const double> features,
+                                      std::span<double> out) const {
   if (out.size() != num_classes_) {
     throw std::invalid_argument{
         "CompactForest::predict_proba_into: output span size mismatch"};
   }
   std::fill(out.begin(), out.end(), 0.0);
   accumulate(features, out);
+  // The argmax is taken over the summed votes, before dividing: division
+  // can round two votes one ulp apart to the same value, and predict()
+  // never divides.
+  const int label = argmax_class(out);
   const double total = std::accumulate(out.begin(), out.end(), 0.0);
   if (total > 0.0) {
     for (double& v : out) v /= total;
   }
+  return label;
 }
 
 void CompactForest::accumulate_block(const Dataset& data, std::size_t lo,

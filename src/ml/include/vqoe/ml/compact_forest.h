@@ -59,9 +59,10 @@ class CompactForest {
   [[nodiscard]] int predict(std::span<const double> features) const;
 
   /// Normalized class probabilities for one row, written into `out`
-  /// (size must be num_classes()). No heap traffic.
-  void predict_proba_into(std::span<const double> features,
-                          std::span<double> out) const;
+  /// (size must be num_classes()). Returns the class predict() returns for
+  /// the same row, from the same walk. No heap traffic.
+  int predict_proba_into(std::span<const double> features,
+                         std::span<double> out) const;
 
   /// Blocked batch prediction over every dataset row (row width must match
   /// num_features(); name checking is the caller's concern). Rows are

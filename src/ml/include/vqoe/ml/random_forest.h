@@ -57,8 +57,10 @@ class RandomForest {
   /// Allocation-free predict_proba: writes the normalized distribution into
   /// `out` (size must be num_classes()). Streaming callers keep one scratch
   /// buffer per monitor/shard instead of constructing a vector per session.
-  void predict_proba_into(std::span<const double> features,
-                          std::span<double> out) const;
+  /// Returns predict(features), taken from the same walk before the votes
+  /// are normalized — one walk yields both the label and its confidence.
+  int predict_proba_into(std::span<const double> features,
+                         std::span<double> out) const;
 
   /// Predicts every row of a dataset that has the same column layout as the
   /// training data (checked by name). Rows are partitioned across the

@@ -143,9 +143,9 @@ std::vector<double> RandomForest::predict_proba(
   return votes;
 }
 
-void RandomForest::predict_proba_into(std::span<const double> features,
-                                      std::span<double> out) const {
-  compiled().predict_proba_into(features, out);
+int RandomForest::predict_proba_into(std::span<const double> features,
+                                     std::span<double> out) const {
+  return compiled().predict_proba_into(features, out);
 }
 
 int RandomForest::predict(std::span<const double> features) const {

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <random>
+#include <stdexcept>
 
 #include "vqoe/core/pipeline.h"
 #include "vqoe/workload/corpus.h"
@@ -69,6 +70,45 @@ TEST_F(DetectorTest, BuildDatasetRejectsMismatch) {
   EXPECT_THROW(build_stall_dataset(chunks, short_labels), std::invalid_argument);
 }
 
+std::pair<std::vector<std::vector<ChunkObs>>, std::vector<ReprLabel>>
+repr_training(const std::vector<SessionRecord>& sessions) {
+  std::vector<std::vector<ChunkObs>> chunks;
+  std::vector<ReprLabel> labels;
+  for (const auto& s : sessions) {
+    chunks.push_back(s.chunks);
+    labels.push_back(repr_label(s.truth));
+  }
+  return {chunks, labels};
+}
+
+TEST_F(DetectorTest, ClassifyFeaturesRejectsWrongWidth) {
+  // The projection reads selected columns by index into the full vector;
+  // a vector of any other width must be refused, never read past its end.
+  ForestDetectorConfig fast;
+  fast.forest.num_trees = 4;
+  fast.feature_selection = false;
+  const auto [stall_chunks, stall_labels] = stall_training(*sessions_);
+  const auto stall = StallDetector::train(
+      build_stall_dataset(stall_chunks, stall_labels), fast);
+  const auto [repr_chunks, repr_labels] = repr_training(*has_sessions_);
+  const auto repr = RepresentationDetector::train(
+      build_representation_dataset(repr_chunks, repr_labels), fast);
+
+  DetectorScratch scratch;
+  const auto check = [&scratch](const auto& detector, std::size_t space) {
+    for (const std::size_t width : {std::size_t{5}, space - 1, space + 1}) {
+      const std::vector<double> features(width, 1.0);
+      EXPECT_THROW((void)detector.classify_features(features, scratch),
+                   std::invalid_argument)
+          << space << "-wide space, " << width << " columns";
+    }
+    const std::vector<double> exact(space, 1.0);
+    EXPECT_NO_THROW((void)detector.classify_features(exact, scratch));
+  };
+  check(stall, stall_feature_names().size());
+  check(repr, representation_feature_names().size());
+}
+
 TEST_F(DetectorTest, StallDetectorBeatsMajorityBaseline) {
   const auto [chunks, labels] = stall_training(*sessions_);
   const auto data = build_stall_dataset(chunks, labels);
@@ -110,10 +150,12 @@ TEST_F(DetectorTest, ClassifyFeaturesMatchesClassify) {
   const auto [chunks, labels] = stall_training(*sessions_);
   const auto data = build_stall_dataset(chunks, labels);
   const auto detector = StallDetector::train(data);
+  DetectorScratch scratch;
   for (std::size_t i = 0; i < 20; ++i) {
     const auto& session = (*sessions_)[i * 7 % sessions_->size()];
     EXPECT_EQ(detector.classify(session.chunks),
-              detector.classify_features(stall_features(session.chunks)));
+              detector.classify_features(stall_features(session.chunks),
+                                         scratch));
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string_view>
 
 namespace vqoe::core {
 namespace {
@@ -102,6 +105,63 @@ TEST_F(OnlineMonitorTest, ReportsMatchBatchAssessment) {
     }
   }
   EXPECT_GT(compared, online.size() / 2);
+}
+
+/// Checks every feature capture the monitor hands over against an
+/// independent feature build of the same span.
+class CaptureChecker final : public ScoreObserver {
+ public:
+  void on_session(std::string_view, std::span<const ChunkObs> chunks,
+                  const QoePipeline::SessionFeatures& features,
+                  const QoeReport&) override {
+    check(chunks, features);
+  }
+  void on_window(std::string_view, std::span<const ChunkObs> chunks,
+                 const QoePipeline::SessionFeatures& features,
+                 const window::WindowVerdict&) override {
+    check(chunks, features);
+  }
+  void on_model_swap(std::uint64_t) override { swapped = true; }
+
+  bool swapped = false;
+  std::size_t before_swap = 0;
+  std::size_t after_swap = 0;
+
+ private:
+  void check(std::span<const ChunkObs> chunks,
+             const QoePipeline::SessionFeatures& features) {
+    EXPECT_EQ(features.stall, stall_features(chunks));
+    if (swapped) {
+      // The new model has no representation detector: nothing built, so
+      // nothing may be left over from the previous model.
+      EXPECT_TRUE(features.repr.empty());
+      ++after_swap;
+    } else {
+      EXPECT_EQ(features.repr, representation_features(chunks));
+      ++before_swap;
+    }
+  }
+};
+
+TEST_F(OnlineMonitorTest, ObserverCaptureFollowsTheActiveModelAcrossSwap) {
+  CaptureChecker checker;
+  OnlineMonitorConfig config;
+  config.window.length_s = 10.0;
+  config.observer = &checker;
+  OnlineMonitor monitor{*pipeline_, config};
+  const std::size_t half = records_->size() / 2;
+  for (std::size_t i = 0; i < half; ++i) (void)monitor.ingest((*records_)[i]);
+  (void)monitor.take_verdicts();
+  monitor.swap_pipeline(
+      std::make_shared<const QoePipeline>(QoePipeline::from_parts(
+          pipeline_->stall_detector(), {}, pipeline_->switch_detector())));
+  for (std::size_t i = half; i < records_->size(); ++i) {
+    (void)monitor.ingest((*records_)[i]);
+  }
+  (void)monitor.flush();
+  (void)monitor.take_verdicts();
+  EXPECT_GT(checker.before_swap, 0u);
+  EXPECT_GT(checker.after_swap, 0u);
 }
 
 TEST_F(OnlineMonitorTest, AdvanceToFlushesIdleSessions) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace vqoe::core {
 namespace {
@@ -45,6 +49,56 @@ TEST_F(PipelineTest, TrainAndAssessRoundTrip) {
   EXPECT_GE(report.switch_score, 0.0);
   EXPECT_EQ(report.quality_switches,
             report.switch_score > pipeline.switch_detector().config().threshold);
+}
+
+/// The forest input an independent reader builds: the detector's selected
+/// columns, looked up by name in the full feature vector.
+std::vector<double> selected_row(const std::vector<double>& full,
+                                 const std::vector<std::string>& names,
+                                 const std::vector<std::string>& selected) {
+  std::vector<double> row;
+  for (const std::string& name : selected) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    row.push_back(full.at(static_cast<std::size_t>(it - names.begin())));
+  }
+  return row;
+}
+
+TEST_F(PipelineTest, ScoredVerdictsMatchIndependentForestReference) {
+  // Labels and confidences against the forest's own predict/predict_proba
+  // over a row this test projects itself, so a scoring path that read the
+  // wrong column or class index cannot agree with itself and pass.
+  const auto pipeline = QoePipeline::train(*sessions_);
+  const StallDetector& stall = pipeline.stall_detector();
+  const RepresentationDetector& repr = pipeline.representation_detector();
+  ASSERT_TRUE(repr.trained());
+  DetectorScratch scratch;
+  for (const auto& s : *sessions_) {
+    const std::span<const ChunkObs> whole{s.chunks};
+    const std::size_t half = std::max<std::size_t>(1, whole.size() / 2);
+    for (const std::span<const ChunkObs> span : {whole, whole.first(half)}) {
+      const auto scored = pipeline.assess_scored(span, scratch);
+
+      const auto stall_row =
+          selected_row(stall_features(span), stall_feature_names(),
+                       stall.selected_features());
+      const auto stall_label = static_cast<std::size_t>(scored.report.stall);
+      EXPECT_EQ(static_cast<int>(stall_label),
+                stall.forest().predict(stall_row));
+      EXPECT_EQ(scored.stall_confidence,
+                stall.forest().predict_proba(stall_row)[stall_label]);
+
+      const auto repr_row =
+          selected_row(representation_features(span),
+                       representation_feature_names(),
+                       repr.selected_features());
+      const auto repr_label =
+          static_cast<std::size_t>(scored.report.representation);
+      EXPECT_EQ(static_cast<int>(repr_label), repr.forest().predict(repr_row));
+      EXPECT_EQ(scored.repr_confidence,
+                repr.forest().predict_proba(repr_row)[repr_label]);
+    }
+  }
 }
 
 TEST_F(PipelineTest, TrainRejectsEmptyInput) {

@@ -66,15 +66,15 @@ class MonitorEngineTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto train_options = workload::has_corpus_options(300, 171);
     train_options.keep_session_results = false;
-    pipeline_ = std::make_unique<QoePipeline>(QoePipeline::train(
+    pipeline_ = std::make_shared<const QoePipeline>(QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(train_options))));
   }
   static void TearDownTestSuite() { pipeline_.reset(); }
 
-  static std::unique_ptr<QoePipeline> pipeline_;
+  static std::shared_ptr<const QoePipeline> pipeline_;
 };
 
-std::unique_ptr<QoePipeline> MonitorEngineTest::pipeline_;
+std::shared_ptr<const QoePipeline> MonitorEngineTest::pipeline_;
 
 /// A hand-built media chunk on the default (YouTube) CDN.
 trace::WeblogRecord media_record(const std::string& subscriber, double t_s,
@@ -141,7 +141,7 @@ TEST_F(MonitorEngineTest, EquivalentToSequentialMonitorAcrossShardCountsAndServi
       config.queue_capacity = 256;
       config.backpressure = BackpressurePolicy::Block;
       config.monitor = monitor_config;
-      MonitorEngine engine{*pipeline_, config};
+      MonitorEngine engine{pipeline_, config};
 
       std::vector<CompletedSession> actual;
       std::size_t fed = 0;
@@ -184,8 +184,8 @@ TEST_F(MonitorEngineTest, ViewIngestIsIdenticalToRecordIngest) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EngineConfig config;
     config.shards = shards;
-    MonitorEngine by_record{*pipeline_, config};
-    MonitorEngine by_view{*pipeline_, config};
+    MonitorEngine by_record{pipeline_, config};
+    MonitorEngine by_view{pipeline_, config};
     for (const auto& record : records) {
       ASSERT_TRUE(by_record.ingest(record));
       ASSERT_TRUE(by_view.ingest(trace::WeblogRecordView::of(record)));
@@ -209,7 +209,7 @@ TEST_F(MonitorEngineTest, WatermarkClosesSessionsOnIdleShards) {
   EngineConfig config;
   config.shards = 2;
   config.watermark_interval_s = 5.0;
-  MonitorEngine engine{*pipeline_, config};
+  MonitorEngine engine{pipeline_, config};
 
   // Subscriber A streams three chunks and goes silent.
   for (int i = 0; i < 3; ++i)
@@ -250,7 +250,7 @@ TEST_F(MonitorEngineTest, DropNewestShedsButStaysConsistent) {
   config.shards = 2;
   config.queue_capacity = 2;  // force overflow
   config.backpressure = BackpressurePolicy::DropNewest;
-  MonitorEngine engine{*pipeline_, config};
+  MonitorEngine engine{pipeline_, config};
 
   std::uint64_t rejected = 0;
   for (const auto& record : records) {
@@ -274,7 +274,7 @@ TEST_F(MonitorEngineTest, DropNewestShedsButStaysConsistent) {
 }
 
 TEST_F(MonitorEngineTest, IngestAfterDrainIsRejected) {
-  MonitorEngine engine{*pipeline_};
+  MonitorEngine engine{pipeline_};
   ASSERT_TRUE(engine.ingest(media_record("sub-a", 1.0)));
   (void)engine.drain();
   EXPECT_FALSE(engine.ingest(media_record("sub-a", 2.0)));
@@ -282,7 +282,7 @@ TEST_F(MonitorEngineTest, IngestAfterDrainIsRejected) {
 }
 
 TEST_F(MonitorEngineTest, PerShardIngestTimeIsAccounted) {
-  MonitorEngine engine{*pipeline_};
+  MonitorEngine engine{pipeline_};
   for (int i = 0; i < 50; ++i)
     ASSERT_TRUE(engine.ingest(media_record("sub-" + std::to_string(i % 8),
                                            1.0 + 0.1 * i)));

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "vqoe/core/pipeline.h"
@@ -24,7 +25,9 @@ core::QoeReport capture(const QoePipeline& model,
                         std::span<const core::ChunkObs> chunks,
                         QoePipeline::SessionFeatures& features) {
   core::DetectorScratch scratch;
-  return model.assess(chunks, scratch, features);
+  const core::QoeReport report = model.assess(chunks, scratch);
+  features = scratch.features;
+  return report;
 }
 
 class ShadowScorerTest : public ::testing::Test {
@@ -124,6 +127,21 @@ TEST_F(ShadowScorerTest, CapturedFeaturesMatchRebuildFromChunks) {
   EXPECT_EQ(fast.stats().repr_disagreements, slow.stats().repr_disagreements);
   EXPECT_EQ(fast.stats().switch_disagreements,
             slow.stats().switch_disagreements);
+}
+
+TEST_F(ShadowScorerTest, MisSizedCaptureIsRefusedNotRead) {
+  // score_session is public: a caller's capture that is not a full 70-wide
+  // stall vector must be refused, not indexed up to column 69.
+  ShadowScorer scorer{model_b_};
+  const auto& chunks = (*sessions_)[0].chunks;
+  const core::QoeReport active = model_a_->assess(chunks);
+  QoePipeline::SessionFeatures features;
+  features.stall.assign(5, 0.0);
+  EXPECT_THROW(scorer.score_session(chunks, features, active),
+               std::invalid_argument);
+  // An empty vector still means "not captured": rebuilt from the chunks.
+  features.stall.clear();
+  EXPECT_NO_THROW(scorer.score_session(chunks, features, active));
 }
 
 TEST_F(ShadowScorerTest, WindowScoringUsesVerdictLabels) {

@@ -85,15 +85,15 @@ class EvictionTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto train_options = workload::has_corpus_options(300, 171);
     train_options.keep_session_results = false;
-    pipeline_ = std::make_unique<QoePipeline>(QoePipeline::train(
+    pipeline_ = std::make_shared<const QoePipeline>(QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(train_options))));
   }
   static void TearDownTestSuite() { pipeline_.reset(); }
 
-  static std::unique_ptr<QoePipeline> pipeline_;
+  static std::shared_ptr<const QoePipeline> pipeline_;
 };
 
-std::unique_ptr<QoePipeline> EvictionTest::pipeline_;
+std::shared_ptr<const QoePipeline> EvictionTest::pipeline_;
 
 trace::WeblogRecord media_record(const std::string& subscriber, double t_s,
                                  std::uint64_t bytes = 900'000) {
@@ -254,7 +254,7 @@ TEST_F(EvictionTest, EngineWithPerShardCeilingMatchesUnboundedSequential) {
     config.backpressure = engine::BackpressurePolicy::Block;
     config.monitor.reconstruction.idle_gap_s = 1e9;
     config.monitor.mem_ceiling_bytes = 24 * 1024;  // per shard
-    engine::MonitorEngine eng{*pipeline_, config};
+    engine::MonitorEngine eng{pipeline_, config};
     for (const auto& r : records) eng.ingest(r);
     const auto sessions = eng.drain();
     EXPECT_EQ(sorted_keys(sessions), expected) << shards << " shards";
@@ -277,7 +277,7 @@ TEST_F(EvictionTest, EngineSurfacesArenaAndEvictionStats) {
 
   engine::EngineConfig config;
   config.shards = 2;
-  engine::MonitorEngine eng{*pipeline_, config};
+  engine::MonitorEngine eng{pipeline_, config};
   for (const auto& r : records) eng.ingest(r);
   (void)eng.drain();
 

@@ -188,6 +188,24 @@ TEST(CompactForest, BatchKernelDeterministicAcrossThreadCounts) {
   par::set_threads(0);
 }
 
+TEST(CompactForest, ProbaIntoReturnsThePredictLabel) {
+  // One walk serves both the label and its confidence: the class
+  // predict_proba_into returns is predict()'s, taken from the summed votes
+  // before they are normalised.
+  const Dataset train = blobs(60, 3, 47, 1.0);
+  const Dataset test = blobs(40, 3, 48, 1.0);
+  ForestParams params;
+  params.num_trees = 25;
+  const auto forest = RandomForest::fit(train, params);
+  std::vector<double> proba(forest.num_classes());
+  for (std::size_t i = 0; i < test.rows(); ++i) {
+    EXPECT_EQ(forest.predict_proba_into(test.row(i), proba),
+              forest.predict(test.row(i)))
+        << "row " << i;
+    EXPECT_EQ(proba, forest.predict_proba(test.row(i))) << "row " << i;
+  }
+}
+
 TEST(CompactForest, OneAllocationLayout) {
   const Dataset train = blobs(50, 3, 31);
   ForestParams params;

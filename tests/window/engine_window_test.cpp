@@ -64,7 +64,7 @@ class EngineWindowTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto train_options = workload::has_corpus_options(300, 31);
     train_options.keep_session_results = false;
-    pipeline_ = std::make_unique<QoePipeline>(QoePipeline::train(
+    pipeline_ = std::make_shared<const QoePipeline>(QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(train_options))));
 
     auto live_options = workload::encrypted_corpus_options(40, 37);
@@ -79,11 +79,11 @@ class EngineWindowTest : public ::testing::Test {
     records_.reset();
   }
 
-  static std::unique_ptr<QoePipeline> pipeline_;
+  static std::shared_ptr<const QoePipeline> pipeline_;
   static std::unique_ptr<std::vector<trace::WeblogRecord>> records_;
 };
 
-std::unique_ptr<QoePipeline> EngineWindowTest::pipeline_;
+std::shared_ptr<const QoePipeline> EngineWindowTest::pipeline_;
 std::unique_ptr<std::vector<trace::WeblogRecord>> EngineWindowTest::records_;
 
 OnlineMonitorConfig windowed_monitor(double length_s, double hop_s = 0.0) {
@@ -142,7 +142,7 @@ TEST_F(EngineWindowTest, VerdictStreamEquivalentAcrossShardCounts) {
     config.queue_capacity = 256;
     config.backpressure = BackpressurePolicy::Block;
     config.monitor = monitor_config;
-    MonitorEngine engine{*pipeline_, config};
+    MonitorEngine engine{pipeline_, config};
 
     std::vector<WindowVerdict> verdicts;
     std::size_t fed = 0;
@@ -176,7 +176,7 @@ TEST_F(EngineWindowTest, VerdictsArriveMidSession) {
   EngineConfig config;
   config.shards = 4;
   config.monitor = windowed_monitor(10.0);
-  MonitorEngine engine{*pipeline_, config};
+  MonitorEngine engine{pipeline_, config};
   for (const auto& record : *records_) ASSERT_TRUE(engine.ingest(record));
 
   // All records are queued; the workers drain them asynchronously. Poll —
@@ -205,7 +205,7 @@ TEST_F(EngineWindowTest, FullSessionWindowBitIdenticalAcrossShardCounts) {
     config.shards = shards;
     config.queue_capacity = 256;
     config.monitor = windowed_monitor(1e9);
-    MonitorEngine engine{*pipeline_, config};
+    MonitorEngine engine{pipeline_, config};
 
     for (const auto& record : *records_) ASSERT_TRUE(engine.ingest(record));
     const auto sessions = engine.drain();
@@ -244,7 +244,7 @@ TEST_F(EngineWindowTest, SlidingWindowsAlsoEquivalent) {
   config.shards = 4;
   config.queue_capacity = 256;
   config.monitor = monitor_config;
-  MonitorEngine engine{*pipeline_, config};
+  MonitorEngine engine{pipeline_, config};
   for (const auto& record : *records_) ASSERT_TRUE(engine.ingest(record));
   (void)engine.drain();
   EXPECT_EQ(sorted_keys(engine.harvest_verdicts()), expected_keys);

@@ -74,7 +74,7 @@ class LoopbackTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto train_options = workload::has_corpus_options(250, 171);
     train_options.keep_session_results = false;
-    pipeline_ = std::make_unique<QoePipeline>(QoePipeline::train(
+    pipeline_ = std::make_shared<const QoePipeline>(QoePipeline::train(
         core::sessions_from_corpus(workload::generate_corpus(train_options))));
 
     auto live_options = workload::encrypted_corpus_options(60, 1844);
@@ -92,7 +92,7 @@ class LoopbackTest : public ::testing::Test {
                                 std::size_t shards) {
     engine::EngineConfig config;
     config.shards = shards;
-    engine::MonitorEngine eng{*pipeline_, config};
+    engine::MonitorEngine eng{pipeline_, config};
     for (const auto& record : records) eng.ingest(record);
     Outcome out;
     out.keys = sorted_keys(eng.drain());
@@ -111,7 +111,7 @@ class LoopbackTest : public ::testing::Test {
       std::size_t rx_slab_bytes = CollectorConfig{}.rx_slab_bytes) {
     engine::EngineConfig engine_config;
     engine_config.shards = shards;
-    engine::MonitorEngine eng{*pipeline_, engine_config};
+    engine::MonitorEngine eng{pipeline_, engine_config};
 
     CollectorConfig config;
     config.port = 0;
@@ -158,11 +158,11 @@ class LoopbackTest : public ::testing::Test {
     return out;
   }
 
-  static std::unique_ptr<QoePipeline> pipeline_;
+  static std::shared_ptr<const QoePipeline> pipeline_;
   static std::unique_ptr<std::vector<trace::WeblogRecord>> live_;
 };
 
-std::unique_ptr<QoePipeline> LoopbackTest::pipeline_;
+std::shared_ptr<const QoePipeline> LoopbackTest::pipeline_;
 std::unique_ptr<std::vector<trace::WeblogRecord>> LoopbackTest::live_;
 
 TEST_F(LoopbackTest, PartitionForProbeIsDisjointOrderPreservingAndComplete) {
