@@ -1,7 +1,7 @@
 #include "vqoe/core/features.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "vqoe/ts/cusum.h"
 #include "vqoe/ts/summary.h"
@@ -12,120 +12,216 @@ namespace {
 
 constexpr double kBytesPerKB = 1000.0;
 
-// Per-chunk base metric series, session-relative.
-struct MetricSeries {
-  std::vector<double> rtt_min, rtt_avg, rtt_max;
-  std::vector<double> bdp, bif_avg, bif_max;
-  std::vector<double> loss, retrans;
-  std::vector<double> chunk_size;  // KB
-  std::vector<double> chunk_time;  // arrival relative to session start (s)
-  std::vector<double> chunk_dt;    // inter-arrival times (s), n-1 values
-  std::vector<double> goodput;     // kbit/s
+/// The per-chunk series behind the metrics. The raw ones come straight
+/// from each chunk (goodput only feeds the throughput metrics); the
+/// derived ones are computed from a raw series in chunk order.
+enum Series : std::size_t {
+  kRttMin, kRttAvg, kRttMax, kBdp, kBifAvg, kBifMax, kLoss, kRetrans,
+  kChunkSize,  // KB
+  kChunkTime,  // arrival relative to session start (s)
+  kGoodput,    // kbit/s
+  kChunkDt,    // inter-arrival times (s), n-1 values
+  kChunkAvgSize, kChunkDsize, kThroughputAvg, kCusumThroughput,
+  kSeriesCount
 };
 
-MetricSeries extract_series(std::span<const ChunkObs> chunks) {
-  MetricSeries m;
-  const std::size_t n = chunks.size();
-  const double t0 = n > 0 ? chunks.front().request_time_s : 0.0;
-  m.rtt_min.reserve(n);
-  for (const ChunkObs& c : chunks) {
-    m.rtt_min.push_back(c.transport.rtt_min_ms);
-    m.rtt_avg.push_back(c.transport.rtt_avg_ms);
-    m.rtt_max.push_back(c.transport.rtt_max_ms);
-    m.bdp.push_back(c.transport.bdp_bytes / kBytesPerKB);
-    m.bif_avg.push_back(c.transport.bif_avg_bytes / kBytesPerKB);
-    m.bif_max.push_back(c.transport.bif_max_bytes / kBytesPerKB);
-    m.loss.push_back(c.transport.loss_pct);
-    m.retrans.push_back(c.transport.retrans_pct);
-    m.chunk_size.push_back(c.size_bytes / kBytesPerKB);
-    m.chunk_time.push_back(c.arrival_time_s - t0);
-    m.goodput.push_back(c.goodput_kbps());
-  }
-  m.chunk_dt = ts::deltas(m.chunk_time);
-  return m;
-}
-
-// Running (cumulative) mean of a series.
-std::vector<double> running_mean(std::span<const double> v) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    acc += v[i];
-    out.push_back(acc / static_cast<double>(i + 1));
-  }
-  return out;
-}
-
-struct NamedSeries {
-  std::string name;
-  std::vector<double> values;
+struct Metric {
+  const char* name;
+  Series series;
 };
 
-std::vector<NamedSeries> stall_metric_set(const MetricSeries& m) {
-  return {
-      {"rtt_min", m.rtt_min},       {"rtt_avg", m.rtt_avg},
-      {"rtt_max", m.rtt_max},       {"bdp", m.bdp},
-      {"bif_avg", m.bif_avg},       {"bif_max", m.bif_max},
-      {"loss", m.loss},             {"retrans", m.retrans},
-      {"chunk_size", m.chunk_size}, {"chunk_time", m.chunk_time},
-  };
+constexpr std::array<Metric, 10> kStallMetrics{{
+    {"rtt_min", kRttMin}, {"rtt_avg", kRttAvg}, {"rtt_max", kRttMax},
+    {"bdp", kBdp}, {"bif_avg", kBifAvg}, {"bif_max", kBifMax},
+    {"loss", kLoss}, {"retrans", kRetrans}, {"chunk_size", kChunkSize},
+    {"chunk_time", kChunkTime},
+}};
+
+constexpr std::array<Metric, 14> kReprMetrics{{
+    {"rtt_min", kRttMin}, {"rtt_avg", kRttAvg}, {"rtt_max", kRttMax},
+    {"bdp", kBdp}, {"bif_avg", kBifAvg}, {"bif_max", kBifMax},
+    {"loss", kLoss}, {"retrans", kRetrans}, {"chunk_size", kChunkSize},
+    {"chunk_dt", kChunkDt}, {"chunk_avg_size", kChunkAvgSize},
+    {"chunk_dsize", kChunkDsize}, {"throughput_avg", kThroughputAvg},
+    {"cusum_throughput", kCusumThroughput},
+}};
+
+/// Statistics are numbered by their position in the representation set,
+/// which starts min, max, mean, std and holds every stall percentile.
+constexpr std::size_t kMin = 0;
+constexpr std::size_t kMax = 1;
+constexpr std::size_t kMean = 2;
+constexpr std::size_t kStd = 3;
+constexpr std::size_t kStats = 15;
+static_assert(kReprMetrics.size() * kStats == kReprWidth);
+
+/// The stall set (min, max, mean, std, p25, p50, p75) in that numbering.
+constexpr std::array<std::size_t, 7> kStallStats{kMin, kMax, kMean, kStd,
+                                                 8,    9,    10};
+static_assert(kStallMetrics.size() * kStallStats.size() == kStallWidth);
+
+constexpr std::uint16_t bit(std::size_t i) {
+  return static_cast<std::uint16_t>(1u << i);
 }
 
-std::vector<NamedSeries> representation_metric_set(const MetricSeries& m) {
-  return {
-      {"rtt_min", m.rtt_min},
-      {"rtt_avg", m.rtt_avg},
-      {"rtt_max", m.rtt_max},
-      {"bdp", m.bdp},
-      {"bif_avg", m.bif_avg},
-      {"bif_max", m.bif_max},
-      {"loss", m.loss},
-      {"retrans", m.retrans},
-      {"chunk_size", m.chunk_size},
-      {"chunk_dt", m.chunk_dt},
-      {"chunk_avg_size", running_mean(m.chunk_size)},
-      {"chunk_dsize", ts::deltas(m.chunk_size)},
-      {"throughput_avg", running_mean(m.goodput)},
-      {"cusum_throughput", ts::cusum_chart(m.goodput)},
-  };
-}
-
-std::vector<std::string> make_names(std::span<const std::string> metrics,
+std::vector<std::string> make_names(std::span<const Metric> metrics,
                                     std::span<const ts::Statistic> stats) {
   std::vector<std::string> names;
   names.reserve(metrics.size() * stats.size());
-  for (const std::string& metric : metrics) {
+  for (const Metric& metric : metrics) {
     for (const ts::Statistic& stat : stats) {
-      names.push_back(metric + ":" + stat.name());
+      names.push_back(std::string{metric.name} + ":" + stat.name());
     }
   }
   return names;
 }
 
-void append_features(std::span<const NamedSeries> metrics,
-                     std::span<const ts::Statistic> stats,
-                     std::vector<double>& out) {
-  out.clear();
-  out.reserve(metrics.size() * stats.size());
-  for (const NamedSeries& metric : metrics) {
-    const auto values = ts::compute_all(stats, metric.values);
-    out.insert(out.end(), values.begin(), values.end());
+// Running (cumulative) mean of a series, into a buffer of the same size.
+void running_mean_into(std::span<const double> in, std::span<double> out) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    acc += in[i];
+    out[i] = acc / static_cast<double>(i + 1);
   }
 }
 
-const std::vector<std::string> kStallMetricNames = {
-    "rtt_min", "rtt_avg", "rtt_max",    "bdp",        "bif_avg",
-    "bif_max", "loss",    "retrans",    "chunk_size", "chunk_time"};
-
-const std::vector<std::string> kReprMetricNames = {
-    "rtt_min",        "rtt_avg",     "rtt_max",
-    "bdp",            "bif_avg",     "bif_max",
-    "loss",           "retrans",     "chunk_size",
-    "chunk_dt",       "chunk_avg_size", "chunk_dsize",
-    "throughput_avg", "cusum_throughput"};
-
 }  // namespace
+
+void FeaturePlan::compile() {
+  static_assert(kSeriesCount == kSeries);
+  stats_ = {};
+  filled_ = 0;
+  for (std::size_t m = 0; m < kStallMetrics.size(); ++m) {
+    for (std::size_t j = 0; j < kStallStats.size(); ++j) {
+      if (stall_.test(m * kStallStats.size() + j)) {
+        stats_[kStallMetrics[m].series] |= bit(kStallStats[j]);
+      }
+    }
+  }
+  for (std::size_t m = 0; m < kReprMetrics.size(); ++m) {
+    for (std::size_t k = 0; k < kStats; ++k) {
+      if (repr_.test(m * kStats + k)) stats_[kReprMetrics[m].series] |= bit(k);
+    }
+  }
+  for (std::size_t s = 0; s < kSeries; ++s) {
+    if (stats_[s] != 0) filled_ |= bit(s);
+  }
+  if ((filled_ & bit(kChunkDt)) != 0) filled_ |= bit(kChunkTime);
+  if ((filled_ & (bit(kChunkAvgSize) | bit(kChunkDsize))) != 0) {
+    filled_ |= bit(kChunkSize);
+  }
+  if ((filled_ & (bit(kThroughputAvg) | bit(kCusumThroughput))) != 0) {
+    filled_ |= bit(kGoodput);
+  }
+}
+
+void FeaturePlan::build(std::span<const ChunkObs> chunks,
+                        std::vector<double>& series,
+                        SessionFeatures& out) const {
+  constexpr double kUnbuilt = std::numeric_limits<double>::quiet_NaN();
+  out.stall_mask = stall_;
+  out.repr_mask = repr_;
+  if (stall_.any()) {
+    out.stall.assign(kStallWidth, kUnbuilt);
+  } else {
+    out.stall.clear();
+  }
+  if (repr_.any()) {
+    out.repr.assign(kReprWidth, kUnbuilt);
+  } else {
+    out.repr.clear();
+  }
+  if (filled_ == 0) return;
+
+  const auto filled = [this](std::size_t s) { return (filled_ & bit(s)) != 0; };
+  const std::size_t n = chunks.size();
+  series.resize(kSeries * n);
+  std::array<double*, kSeries> col{};
+  for (std::size_t s = 0; s < kSeries; ++s) {
+    if (filled(s)) col[s] = series.data() + s * n;
+  }
+
+  // The one extraction pass: every raw series the plan reads.
+  const double t0 = n > 0 ? chunks.front().request_time_s : 0.0;
+  const auto put = [&col](Series s, std::size_t i, double value) {
+    if (col[s] != nullptr) col[s][i] = value;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const ChunkObs& c = chunks[i];
+    put(kRttMin, i, c.transport.rtt_min_ms);
+    put(kRttAvg, i, c.transport.rtt_avg_ms);
+    put(kRttMax, i, c.transport.rtt_max_ms);
+    put(kBdp, i, c.transport.bdp_bytes / kBytesPerKB);
+    put(kBifAvg, i, c.transport.bif_avg_bytes / kBytesPerKB);
+    put(kBifMax, i, c.transport.bif_max_bytes / kBytesPerKB);
+    put(kLoss, i, c.transport.loss_pct);
+    put(kRetrans, i, c.transport.retrans_pct);
+    put(kChunkSize, i, c.size_bytes / kBytesPerKB);
+    put(kChunkTime, i, c.arrival_time_s - t0);
+    put(kGoodput, i, c.goodput_kbps());
+  }
+
+  // Derived series, from raw series still in chunk order.
+  const auto raw = [&col, n](Series s) {
+    return std::span<const double>{col[s], n};
+  };
+  const std::size_t diffs = n > 0 ? n - 1 : 0;
+  if (filled(kChunkDt)) {
+    ts::deltas_into(raw(kChunkTime), {col[kChunkDt], diffs});
+  }
+  if (filled(kChunkAvgSize)) {
+    running_mean_into(raw(kChunkSize), {col[kChunkAvgSize], n});
+  }
+  if (filled(kChunkDsize)) {
+    ts::deltas_into(raw(kChunkSize), {col[kChunkDsize], diffs});
+  }
+  if (filled(kThroughputAvg)) {
+    running_mean_into(raw(kGoodput), {col[kThroughputAvg], n});
+  }
+  if (filled(kCusumThroughput)) {
+    ts::cusum_chart_into(raw(kGoodput), {col[kCusumThroughput], n});
+  }
+
+  // Statistics, each computed once per series over its sorted copy, as the
+  // reference reduction in ts/summary.h does, and written to every planned
+  // cell that reads it. Sorting in place is safe now: every derived series
+  // has been computed.
+  const auto& percentiles = ts::representation_statistic_set();
+  for (std::size_t s = 0; s < kSeries; ++s) {
+    const std::uint16_t stats = stats_[s];
+    if (stats == 0) continue;
+    const bool first_differences = s == kChunkDt || s == kChunkDsize;
+    const std::size_t len = first_differences ? diffs : n;
+    std::array<double, kStats> value{};  // an empty series reads 0
+    if (len > 0) {
+      const std::span<double> v{col[s], len};
+      std::sort(v.begin(), v.end());
+      value[kMin] = v.front();
+      value[kMax] = v.back();
+      if ((stats & bit(kMean)) != 0) value[kMean] = ts::mean(v);
+      if ((stats & bit(kStd)) != 0) value[kStd] = ts::std_dev(v);
+      for (std::size_t k = kStd + 1; k < kStats; ++k) {
+        if ((stats & bit(k)) != 0) {
+          value[k] = ts::percentile_sorted(v, percentiles[k].percentile);
+        }
+      }
+    }
+    for (std::size_t m = 0; m < kStallMetrics.size(); ++m) {
+      if (kStallMetrics[m].series != s) continue;
+      for (std::size_t j = 0; j < kStallStats.size(); ++j) {
+        const std::size_t cell = m * kStallStats.size() + j;
+        if (stall_.test(cell)) out.stall[cell] = value[kStallStats[j]];
+      }
+    }
+    for (std::size_t m = 0; m < kReprMetrics.size(); ++m) {
+      if (kReprMetrics[m].series != s) continue;
+      for (std::size_t k = 0; k < kStats; ++k) {
+        const std::size_t cell = m * kStats + k;
+        if (repr_.test(cell)) out.repr[cell] = value[k];
+      }
+    }
+  }
+}
 
 std::vector<ChunkObs> chunks_from_weblogs(
     std::span<const trace::WeblogRecord> records) {
@@ -152,7 +248,7 @@ std::vector<ChunkObs> chunks_from_session(
 
 const std::vector<std::string>& stall_feature_names() {
   static const std::vector<std::string> names =
-      make_names(kStallMetricNames, ts::stall_statistic_set());
+      make_names(kStallMetrics, ts::stall_statistic_set());
   return names;
 }
 
@@ -164,13 +260,17 @@ std::vector<double> stall_features(std::span<const ChunkObs> chunks) {
 
 void stall_features_into(std::span<const ChunkObs> chunks,
                          std::vector<double>& out) {
-  const MetricSeries m = extract_series(chunks);
-  append_features(stall_metric_set(m), ts::stall_statistic_set(), out);
+  static const FeaturePlan plan{StallMask{}.set(), ReprMask{}};
+  SessionFeatures built;
+  built.stall = std::move(out);
+  std::vector<double> series;
+  plan.build(chunks, series, built);
+  out = std::move(built.stall);
 }
 
 const std::vector<std::string>& representation_feature_names() {
   static const std::vector<std::string> names =
-      make_names(kReprMetricNames, ts::representation_statistic_set());
+      make_names(kReprMetrics, ts::representation_statistic_set());
   return names;
 }
 
@@ -182,9 +282,12 @@ std::vector<double> representation_features(std::span<const ChunkObs> chunks) {
 
 void representation_features_into(std::span<const ChunkObs> chunks,
                                   std::vector<double>& out) {
-  const MetricSeries m = extract_series(chunks);
-  append_features(representation_metric_set(m),
-                  ts::representation_statistic_set(), out);
+  static const FeaturePlan plan{StallMask{}, ReprMask{}.set()};
+  SessionFeatures built;
+  built.repr = std::move(out);
+  std::vector<double> series;
+  plan.build(chunks, series, built);
+  out = std::move(built.repr);
 }
 
 std::vector<double> switch_signal(std::span<const ChunkObs> chunks,

@@ -40,34 +40,16 @@ namespace vqoe::core {
     std::span<const std::vector<ChunkObs>> sessions,
     std::span<const ReprLabel> labels);
 
-/// The full model-independent feature vectors behind one assessment.
-/// Feature construction (features.h) does not depend on the model — only
-/// the selection indices inside each detector do — so a capture made by
-/// the active model lets any other model classify the same span for the
-/// cost of a projection and a forest walk (the shadow-scoring fast path:
-/// no second percentile-sorting feature build). An empty vector means
-/// "not captured".
-struct SessionFeatures {
-  std::vector<double> stall;  ///< full 70-dim stall vector
-  std::vector<double> repr;   ///< full 210-dim vector; empty when the
-                              ///< assessing pipeline skipped the detector
-  /// skip_initial_s of the SwitchDetector behind `switch_score`. The CUSUM
-  /// statistic depends on the chunk span and this skip alone — a model
-  /// whose skip matches can reuse the score verbatim instead of rebuilding
-  /// the signal. Negative = no capture.
-  double switch_skip_s = -1.0;
-  double switch_score = 0.0;
-};
-
 /// Reusable buffers for the streaming classification path. Long-lived
 /// scorers (OnlineMonitor, each engine shard, each shadow scorer) own one
 /// DetectorScratch and pass it to every call, so per-session heap traffic
 /// disappears. Not for concurrent sharing — one instance per scoring
 /// thread.
 struct DetectorScratch {
-  /// The vectors the last QoePipeline::assess_scored call built (a vector
-  /// it did not build is empty) — what a ScoreObserver reads.
+  /// The cells the last QoePipeline::assess_scored call built (a space
+  /// it built nothing of is empty) — what a ScoreObserver reads.
   SessionFeatures features;
+  std::vector<double> series;     ///< FeaturePlan::build's per-metric series
   std::vector<double> projected;  ///< selected columns, forest input order
   std::vector<double> proba;      ///< normalised class distribution
 };
@@ -103,9 +85,10 @@ class ForestDetector {
   /// builds a fresh feature vector per call).
   [[nodiscard]] Label classify(std::span<const ChunkObs> chunks) const;
 
-  /// Classifies a full feature vector of this detector's space: projects
-  /// the selected columns into `scratch.projected` and walks the forest
-  /// once. The label is the argmax of the summed votes (RandomForest::
+  /// Classifies a full-width feature vector of this detector's space:
+  /// projects the selected columns into `scratch.projected` (no other cell
+  /// is read, so a plan-built vector covering them will do) and walks the
+  /// forest once. The label is the argmax of the summed votes (RandomForest::
   /// predict); `scratch.proba` is left holding the normalised distribution
   /// (RandomForest::predict_proba_into), so the label's confidence is
   /// `scratch.proba[label]`. Throws std::logic_error when untrained and
@@ -115,6 +98,11 @@ class ForestDetector {
 
   [[nodiscard]] const std::vector<std::string>& selected_features() const {
     return selected_;
+  }
+  /// Where selected_features() sit in this space's full vector — the
+  /// cells a FeaturePlan must build for this detector.
+  [[nodiscard]] const std::vector<std::size_t>& selected_columns() const {
+    return selected_idx_;
   }
   [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
   [[nodiscard]] bool trained() const { return forest_.trained(); }

@@ -76,14 +76,22 @@ namespace vqoe::core {
 /// and run on the monitor's (single) scoring thread. The chunk spans,
 /// and the feature capture, are only valid for the duration of the call.
 ///
-/// `features` holds the full model-independent feature vectors the active
-/// pipeline just built for this span (QoePipeline::SessionFeatures) — a
-/// shadow model re-scores the span from them for the cost of a projection
-/// and a forest walk instead of a second feature build, which is what
-/// keeps observer overhead inside the lifecycle ingest budget.
+/// `features` holds the feature cells the monitor just built for this span
+/// (QoePipeline::SessionFeatures): the active pipeline's selection, plus
+/// the selection of the model shadow_pipeline() names. A shadow model
+/// re-scores the span from them for the cost of a projection and a forest
+/// walk instead of a second feature build, which is what keeps observer
+/// overhead inside the lifecycle ingest budget.
 class ScoreObserver {
  public:
   virtual ~ScoreObserver() = default;
+  /// A second model this observer scores the same spans with. The monitor
+  /// also builds that model's feature cells into every capture, compiled
+  /// when the monitor is constructed and at every swap_pipeline(). The
+  /// default names none.
+  [[nodiscard]] virtual const QoePipeline* shadow_pipeline() const {
+    return nullptr;
+  }
   /// A session closed and was assessed; `report` is the emitted verdict.
   virtual void on_session(std::string_view subscriber,
                           std::span<const ChunkObs> chunks,
@@ -183,10 +191,11 @@ class OnlineMonitor {
   std::vector<CompletedSession> flush();
 
   /// Hot-swaps the active pipeline. Pending windows are scored with the
-  /// outgoing model first (their windows closed under it), then `next`
-  /// becomes the model for every subsequent close and score —
-  /// deterministic in the stream position of this call. Must not be null;
-  /// throws std::invalid_argument otherwise. Call from the scoring thread.
+  /// outgoing model and its feature plan first (their windows closed under
+  /// it), then `next` becomes the model for every subsequent close and
+  /// score — deterministic in the stream position of this call. Must not
+  /// be null; throws std::invalid_argument otherwise. Call from the
+  /// scoring thread.
   void swap_pipeline(std::shared_ptr<const QoePipeline> next);
 
   /// Number of swap_pipeline() calls applied so far (0 = the load model).
@@ -295,6 +304,9 @@ class OnlineMonitor {
   /// verdicts_: the shared body of take_verdicts() and swap_pipeline().
   void score_all_pending();
 
+  /// Compiles plan_ from the active pipeline and the observer's shadow.
+  void compile_plan();
+
   /// LRU maintenance: O(1) unlink / append / move-to-back.
   void lru_unlink(OpenSession& session);
   void lru_push_back(OpenSession& session);
@@ -310,6 +322,9 @@ class OnlineMonitor {
   std::shared_ptr<const QoePipeline> pipeline_;
   OnlineMonitorConfig config_;
   std::uint64_t generation_ = 0;
+  /// The cells every scoring call builds: the active pipeline's plan
+  /// united with the observer's shadow pipeline's.
+  FeaturePlan plan_;
   /// Classification buffers reused across every session this monitor
   /// scores (the monitor is single-threaded; engine shards each own one
   /// monitor and therefore one scratch). Its feature capture is what the

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "vqoe/core/detectors.h"
+#include "vqoe/core/features.h"
 #include "vqoe/ml/metrics.h"
 #include "vqoe/workload/corpus.h"
 
@@ -92,8 +93,8 @@ class QoePipeline {
     double repr_confidence = 0.0;  ///< 0 when the detector is untrained
   };
 
-  /// The full model-independent feature vectors behind one assessment
-  /// (detectors.h); ScoreObserver and shadow scoring spell it this way.
+  /// The feature cells behind one assessment (features.h); ScoreObserver
+  /// and shadow scoring spell it this way.
   using SessionFeatures = core::SessionFeatures;
 
   /// The one scoring path: session close, window verdicts and shadow
@@ -101,16 +102,26 @@ class QoePipeline {
   /// bit-identical to the session-close report over that span. Each
   /// detector walks its forest once for both label and confidence.
   ///
-  /// The full feature vectors are built into `scratch.features`, where an
-  /// observer reads them. With `known` (another model's capture of the
-  /// same span — it must not be `scratch.features` itself), its non-empty
-  /// vectors are classified instead of rebuilt, and its CUSUM score is
-  /// reused when its skip matches this pipeline's; a vector this call did
-  /// not build is left empty in `scratch.features`. Reusing scratch across
-  /// calls avoids per-session heap traffic: one scratch per scoring thread.
+  /// The cells of `plan` — by default feature_plan(), the cells this
+  /// pipeline's detectors read — are built into `scratch.features`, where
+  /// an observer reads them; a monitor passes the union of its models'
+  /// plans. Throws std::logic_error when `plan` misses a cell of
+  /// feature_plan(). With `known` (another model's capture of the same
+  /// span — it must not be `scratch.features` itself), a vector whose mask
+  /// covers the detector's selected columns is classified instead of
+  /// rebuilt; an uncovered one is rebuilt, and a non-empty vector of the
+  /// wrong width throws std::invalid_argument. Its CUSUM score is reused
+  /// when its skip matches this pipeline's. When nothing is rebuilt,
+  /// `scratch.features` is left empty. Reusing scratch across calls avoids
+  /// per-session heap traffic: one scratch per scoring thread.
   [[nodiscard]] ScoredReport assess_scored(
       std::span<const ChunkObs> chunks, DetectorScratch& scratch,
-      const SessionFeatures* known = nullptr) const;
+      const SessionFeatures* known = nullptr,
+      const FeaturePlan* plan = nullptr) const;
+
+  /// The cells this pipeline's detectors read, compiled by train() and
+  /// from_parts().
+  [[nodiscard]] const FeaturePlan& feature_plan() const { return plan_; }
 
   [[nodiscard]] const StallDetector& stall_detector() const { return stall_; }
   [[nodiscard]] const RepresentationDetector& representation_detector() const {
@@ -122,6 +133,7 @@ class QoePipeline {
   StallDetector stall_;
   RepresentationDetector repr_;
   SwitchDetector switch_;
+  FeaturePlan plan_;
 };
 
 /// Confusion matrix of a trained stall detector over labelled sessions.

@@ -24,6 +24,14 @@ OnlineMonitor::OnlineMonitor(std::shared_ptr<const QoePipeline> pipeline,
   if (!pipeline_) {
     throw std::invalid_argument{"OnlineMonitor: null pipeline"};
   }
+  compile_plan();
+}
+
+void OnlineMonitor::compile_plan() {
+  plan_ = pipeline_->feature_plan();
+  const QoePipeline* shadow =
+      config_.observer != nullptr ? config_.observer->shadow_pipeline() : nullptr;
+  if (shadow != nullptr) plan_ |= shadow->feature_plan();
 }
 
 void OnlineMonitor::swap_pipeline(std::shared_ptr<const QoePipeline> next) {
@@ -34,6 +42,7 @@ void OnlineMonitor::swap_pipeline(std::shared_ptr<const QoePipeline> next) {
   // the verdict stream is independent of when the next harvest runs.
   score_all_pending();
   pipeline_ = std::move(next);
+  compile_plan();
   ++generation_;
   if (config_.observer != nullptr) config_.observer->on_model_swap(generation_);
 }
@@ -179,7 +188,7 @@ void OnlineMonitor::score_pending(std::string_view subscriber,
   const std::span<const ChunkObs> span =
       chunk_log.view(w.begin_chunk, w.end_chunk, span_scratch_);
   const QoePipeline::ScoredReport scored =
-      pipeline_->assess_scored(span, scratch_);
+      pipeline_->assess_scored(span, scratch_, nullptr, &plan_);
 
   window::WindowVerdict verdict;
   verdict.subscriber_id = std::string(subscriber);
@@ -235,7 +244,7 @@ void OnlineMonitor::close(std::string_view subscriber,
   done.chunk_count = session.chunks.size();
   const std::span<const ChunkObs> span =
       session.chunks.view(0, session.chunks.size(), span_scratch_);
-  done.report = pipeline_->assess(span, scratch_);
+  done.report = pipeline_->assess_scored(span, scratch_, nullptr, &plan_).report;
   if (config_.observer != nullptr) {
     config_.observer->on_session(session.key, span, scratch_.features,
                                  done.report);

@@ -1,8 +1,10 @@
 #include "vqoe/core/pipeline.h"
 
 #include <algorithm>
+#include <bitset>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "vqoe/par/parallel.h"
 #include "vqoe/session/reconstruct.h"
@@ -11,19 +13,31 @@ namespace vqoe::core {
 
 namespace {
 
-/// The full vector one detector classifies: `known` when it holds one,
-/// else a fresh build into `built` (emptied when unused, so a capture never
-/// outlives its call).
-std::span<const double> full_vector(
-    std::span<const ChunkObs> chunks,
-    void (*build)(std::span<const ChunkObs>, std::vector<double>&),
-    const std::vector<double>* known, std::vector<double>& built) {
-  if (known != nullptr && !known->empty()) {
-    built.clear();
-    return *known;
+/// The cells the two forest detectors read.
+FeaturePlan plan_of(const StallDetector& stall,
+                    const RepresentationDetector& repr) {
+  StallMask stall_cells;
+  for (const std::size_t c : stall.selected_columns()) stall_cells.set(c);
+  ReprMask repr_cells;
+  if (repr.trained()) {
+    for (const std::size_t c : repr.selected_columns()) repr_cells.set(c);
   }
-  build(chunks, built);
-  return built;
+  return FeaturePlan{stall_cells, repr_cells};
+}
+
+/// Whether a capture's vector of one space holds every cell of `needed`.
+/// Empty means "not captured"; any other width than the space's is refused.
+template <std::size_t Width>
+bool captured(const std::vector<double>& known, const std::bitset<Width>& mask,
+              const std::bitset<Width>& needed, const char* space) {
+  if (known.empty()) return false;
+  if (known.size() != Width) {
+    throw std::invalid_argument{
+        std::string{"QoePipeline::assess_scored: known "} + space +
+        " vector has " + std::to_string(known.size()) +
+        " columns, expected " + std::to_string(Width)};
+  }
+  return (needed & ~mask).none();
 }
 
 }  // namespace
@@ -97,6 +111,7 @@ QoePipeline QoePipeline::train(std::span<const SessionRecord> sessions,
         config.representation);
   }
   p.switch_ = SwitchDetector{config.switches};
+  p.plan_ = plan_of(p.stall_, p.repr_);
   return p;
 }
 
@@ -107,6 +122,7 @@ QoePipeline QoePipeline::from_parts(StallDetector stall,
   p.stall_ = std::move(stall);
   p.repr_ = std::move(repr);
   p.switch_ = switches;
+  p.plan_ = plan_of(p.stall_, p.repr_);
   return p;
 }
 
@@ -122,24 +138,39 @@ QoeReport QoePipeline::assess(std::span<const ChunkObs> chunks,
 
 QoePipeline::ScoredReport QoePipeline::assess_scored(
     std::span<const ChunkObs> chunks, DetectorScratch& scratch,
-    const SessionFeatures* known) const {
+    const SessionFeatures* known, const FeaturePlan* plan) const {
+  if (plan != nullptr && !plan->covers(plan_)) {
+    throw std::logic_error{
+        "QoePipeline::assess_scored: the feature plan misses a cell this "
+        "pipeline's detectors read"};
+  }
+  const bool use_repr = repr_.trained();
+  const bool stall_known =
+      known != nullptr &&
+      captured(known->stall, known->stall_mask, plan_.stall(), "stall");
+  const bool repr_known =
+      use_repr && known != nullptr &&
+      captured(known->repr, known->repr_mask, plan_.repr(), "representation");
   SessionFeatures& built = scratch.features;
+  if (stall_known && (repr_known || !use_repr)) {
+    built.stall.clear();
+    built.repr.clear();
+    built.stall_mask.reset();
+    built.repr_mask.reset();
+  } else {
+    (plan != nullptr ? *plan : plan_).build(chunks, scratch.series, built);
+  }
+
   ScoredReport scored;
   scored.report.stall = stall_.classify_features(
-      full_vector(chunks, &stall_features_into,
-                  known != nullptr ? &known->stall : nullptr, built.stall),
-      scratch);
+      stall_known ? known->stall : built.stall, scratch);
   scored.stall_confidence =
       scratch.proba[static_cast<std::size_t>(scored.report.stall)];
-  if (repr_.trained()) {
+  if (use_repr) {
     scored.report.representation = repr_.classify_features(
-        full_vector(chunks, &representation_features_into,
-                    known != nullptr ? &known->repr : nullptr, built.repr),
-        scratch);
+        repr_known ? known->repr : built.repr, scratch);
     scored.repr_confidence =
         scratch.proba[static_cast<std::size_t>(scored.report.representation)];
-  } else {
-    built.repr.clear();
   }
   const SwitchDetector::Config& switches = switch_.config();
   built.switch_skip_s = switches.skip_initial_s;

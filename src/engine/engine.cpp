@@ -53,9 +53,9 @@ void MonitorEngine::note_queue_depth(Shard& shard) {
   // race-free; stats() only ever reads it.
   const std::size_t depth = shard.queue.size();
   // order: relaxed — single-writer max tracker; no other data is published
-  if (depth > shard.queue_peak.load(std::memory_order_relaxed)) {
+  if (depth > shard.ingest_side.queue_peak.load(std::memory_order_relaxed)) {
     // order: relaxed — monotone peak, readers tolerate any staleness
-    shard.queue_peak.store(depth, std::memory_order_relaxed);
+    shard.ingest_side.queue_peak.store(depth, std::memory_order_relaxed);
   }
 }
 
@@ -69,7 +69,7 @@ bool MonitorEngine::ingest(const trace::WeblogRecordView& view) {
 
   Shard& shard = *shards_[router_.shard_of(view.subscriber_id)];
   // order: relaxed — independent counter; nothing is ordered against it
-  shard.records_in.fetch_add(1, std::memory_order_relaxed);
+  shard.ingest_side.records_in.fetch_add(1, std::memory_order_relaxed);
 
   // In-place fill: assigning into the ring slot's resident record reuses
   // its string capacity, so the steady state allocates nothing.
@@ -90,7 +90,7 @@ bool MonitorEngine::ingest(const trace::WeblogRecordView& view) {
     return true;
   }
   // order: relaxed — shed counter; stats() reads are advisory snapshots
-  shard.dropped.fetch_add(1, std::memory_order_relaxed);
+  shard.ingest_side.dropped.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -304,9 +304,9 @@ EngineStats MonitorEngine::stats() const {
     // these as independently-racy snapshot values with no cross-counter
     // consistency guarantee, so no acquire edge would buy the reader
     // anything.
-    s.records_in = shard->records_in.load(std::memory_order_relaxed);
+    s.records_in = shard->ingest_side.records_in.load(std::memory_order_relaxed);
     s.records_out = shard->records_out.load(std::memory_order_relaxed);  // order: see above
-    s.dropped = shard->dropped.load(std::memory_order_relaxed);  // order: see above
+    s.dropped = shard->ingest_side.dropped.load(std::memory_order_relaxed);  // order: see above
     s.sessions_reported =
         shard->sessions_reported.load(std::memory_order_relaxed);  // order: see above
     s.sessions_discarded =
@@ -324,7 +324,7 @@ EngineStats MonitorEngine::stats() const {
         shard->arena_high_water.load(std::memory_order_relaxed);  // order: see above
     s.ingest_ns = shard->ingest_ns.load(std::memory_order_relaxed);  // order: see above
     s.queue_depth = shard->queue.size();
-    s.queue_peak = shard->queue_peak.load(std::memory_order_relaxed);  // order: see above
+    s.queue_peak = shard->ingest_side.queue_peak.load(std::memory_order_relaxed);  // order: see above
     s.drift_distance =
         shard->drift_distance.load(std::memory_order_relaxed);  // order: see above
     s.shadow_scored = shard->shadow_scored.load(std::memory_order_relaxed);  // order: see above

@@ -277,9 +277,21 @@ class MonitorEngine {
     std::vector<core::CompletedSession> out VQOE_GUARDED_BY(out_mutex);
     std::vector<window::WindowVerdict> out_verdicts VQOE_GUARDED_BY(out_mutex);
 
-    std::atomic<std::uint64_t> records_in{0};
-    std::atomic<std::uint64_t> records_out{0};
-    std::atomic<std::uint64_t> dropped{0};
+    /// Written by the ingest thread for every record and never by the
+    /// worker, so they get a cache line of their own: the worker's
+    /// per-record counters and publish() mirrors below start on the next
+    /// line and never invalidate this one under the collector.
+    struct alignas(kCacheLineBytes) IngestCounters {
+      std::atomic<std::uint64_t> records_in{0};
+      std::atomic<std::uint64_t> dropped{0};
+      std::atomic<std::size_t> queue_peak{0};
+    };
+    static_assert(alignof(IngestCounters) == kCacheLineBytes);
+    static_assert(sizeof(IngestCounters) == kCacheLineBytes);
+    IngestCounters ingest_side;
+
+    /// Worker-written: counters and mirrors of the monitor, read by stats().
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> records_out{0};
     std::atomic<std::uint64_t> sessions_reported{0};
     std::atomic<std::uint64_t> sessions_discarded{0};
     std::atomic<std::uint64_t> sessions_evicted{0};
@@ -289,7 +301,6 @@ class MonitorEngine {
     std::atomic<std::uint64_t> arena_bytes_in_use{0};
     std::atomic<std::uint64_t> arena_high_water{0};
     std::atomic<std::uint64_t> ingest_ns{0};
-    std::atomic<std::size_t> queue_peak{0};  ///< written by the ingest thread
     /// Lifecycle mirrors (worker-written, stats()-read). drift_distance is
     /// an atomic<double> — lock-free on every target this builds for.
     std::atomic<double> drift_distance{0.0};

@@ -10,12 +10,13 @@
 //
 // Cost: one projection + forest walk per detector per scored
 // session/window, nothing per record. The shadow scores through the same
-// QoePipeline::assess_scored as the active model, handing it the full
-// feature vectors the active model just built (features are
-// model-independent — only the selection indices inside each detector
-// differ), so the shadow never repeats the expensive percentile-sorting
-// feature build, and it reuses the active CUSUM switch score when the two
-// models skip the same start-up interval.
+// QoePipeline::assess_scored as the active model, handing it the capture
+// the monitor just built. Feature values are model-independent — only
+// which cells a model reads differs — and a monitor whose observer names
+// the shadow (ShardLifecycle does) builds the union of both models'
+// cells, so the shadow never repeats the percentile-sorting feature build.
+// It reuses the active CUSUM switch score when the two models skip the
+// same start-up interval.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +62,10 @@ class ShadowScorer {
   [[nodiscard]] bool enabled() const { return shadow_ != nullptr; }
 
   /// Shadow-scores one closed session against the active model's report.
-  /// `features` is the active model's capture for this span; empty vectors
-  /// fall back to rebuilding from `chunks` (e.g. the active pipeline left
-  /// its representation detector untrained but the shadow trained one).
-  /// A non-empty vector of the wrong width throws std::invalid_argument.
+  /// `features` is the monitor's capture for this span; a vector whose mask
+  /// does not cover the shadow's selected cells (empty, or built for
+  /// another model alone) falls back to rebuilding from `chunks`. A
+  /// non-empty vector of the wrong width throws std::invalid_argument.
   void score_session(std::span<const core::ChunkObs> chunks,
                      const core::QoePipeline::SessionFeatures& features,
                      const core::QoeReport& active);

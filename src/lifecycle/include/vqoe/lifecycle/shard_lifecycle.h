@@ -5,7 +5,9 @@
 // configured) and wires it into that shard's OnlineMonitor. Every scored
 // session and window flows through here on the shard worker thread: the
 // drift monitor folds the session's Table-1 means into its reservoirs, the
-// shadow scorer re-assesses the span with the candidate model. A model
+// shadow scorer re-assesses the span with the candidate model. The observer
+// names its shadow to the monitor, which then builds the union of both
+// models' feature cells, so the shadow never rebuilds features. A model
 // swap resets both — the drift reference is recaptured against the new
 // model's epoch and the divergence counters restart against the new active
 // baseline (comparing a shadow against a model it already replaced is
@@ -40,6 +42,12 @@ class ShardLifecycle final : public core::ScoreObserver {
   /// @param shard_salt distinguishes the shard's drift reservoir streams.
   ShardLifecycle(const ShardLifecycleConfig& config, std::uint64_t shard_salt)
       : drift_(config.drift, shard_salt), shadow_(config.shadow) {}
+
+  /// The shadow model, so the monitor builds its feature cells too and the
+  /// shadow scores every span from the capture alone.
+  [[nodiscard]] const core::QoePipeline* shadow_pipeline() const override {
+    return shadow_.model().get();
+  }
 
   void on_session(std::string_view subscriber,
                   std::span<const core::ChunkObs> chunks,

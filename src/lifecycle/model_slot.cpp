@@ -68,6 +68,25 @@ std::string swap_incompatibility(
              std::to_string(next_manifest->stall_classes) +
              " stall classes but the model has " + std::to_string(next_classes);
     }
+    // An untrained representation detector counts as 0 features and 0
+    // classes (manifest_for writes it that way).
+    const core::RepresentationDetector& repr = next.representation_detector();
+    const std::size_t repr_features =
+        repr.trained() ? repr.selected_features().size() : 0;
+    const std::size_t repr_classes =
+        repr.trained() ? repr.forest().num_classes() : 0;
+    if (next_manifest->repr_features != repr_features) {
+      return "candidate manifest claims " +
+             plural_features(next_manifest->repr_features) +
+             " but the representation model has " +
+             plural_features(repr_features);
+    }
+    if (next_manifest->repr_classes != repr_classes) {
+      return "candidate manifest claims " +
+             std::to_string(next_manifest->repr_classes) +
+             " representation classes but the model has " +
+             std::to_string(repr_classes);
+    }
   }
   return {};
 }

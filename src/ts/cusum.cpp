@@ -11,15 +11,20 @@ namespace vqoe::ts {
 
 std::vector<double> cusum_chart(std::span<const double> series,
                                 std::optional<double> mu) {
-  std::vector<double> out;
-  out.reserve(series.size());
+  std::vector<double> out(series.size());
+  cusum_chart_into(series, out, mu);
+  return out;
+}
+
+void cusum_chart_into(std::span<const double> series, std::span<double> out,
+                      std::optional<double> mu) {
+  assert(out.size() == series.size());
   const double reference = mu.value_or(mean(series));
   double acc = 0.0;
-  for (double x : series) {
-    acc += x - reference;
-    out.push_back(acc);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    acc += series[i] - reference;
+    out[i] = acc;
   }
-  return out;
 }
 
 double cusum_std(std::span<const double> series) {
@@ -72,13 +77,16 @@ void PageCusum::reset() {
 }
 
 std::vector<double> deltas(std::span<const double> series) {
-  std::vector<double> out;
-  if (series.size() < 2) return out;
-  out.reserve(series.size() - 1);
-  for (std::size_t i = 0; i + 1 < series.size(); ++i) {
-    out.push_back(series[i + 1] - series[i]);
-  }
+  std::vector<double> out(series.size() < 2 ? 0 : series.size() - 1);
+  deltas_into(series, out);
   return out;
+}
+
+void deltas_into(std::span<const double> series, std::span<double> out) {
+  assert(out.size() == (series.size() < 2 ? 0 : series.size() - 1));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = series[i + 1] - series[i];
+  }
 }
 
 std::vector<double> product(std::span<const double> a, std::span<const double> b) {

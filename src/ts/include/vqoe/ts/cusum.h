@@ -28,6 +28,11 @@ namespace vqoe::ts {
 [[nodiscard]] std::vector<double> cusum_chart(std::span<const double> series,
                                               std::optional<double> mu = std::nullopt);
 
+/// cusum_chart() into a caller-owned buffer.
+/// Precondition: out.size() == series.size().
+void cusum_chart_into(std::span<const double> series, std::span<double> out,
+                      std::optional<double> mu = std::nullopt);
+
 /// The paper's detector statistic: the standard deviation of the CUSUM
 /// control chart of `series` (eq. 3 applies this to Δsize × Δt). Returns 0
 /// for series shorter than 2 points.
@@ -111,6 +116,10 @@ class PageCusum {
 /// First differences: out[i] = series[i+1] - series[i]; size n-1 (empty for
 /// n < 2). Used to build Δsize and Δt from chunk sizes and arrival times.
 [[nodiscard]] std::vector<double> deltas(std::span<const double> series);
+
+/// deltas() into a caller-owned buffer.
+/// Precondition: out.size() == max(series.size(), 1) - 1.
+void deltas_into(std::span<const double> series, std::span<double> out);
 
 /// Element-wise product of two equally sized series (the Δsize × Δt signal).
 /// Precondition: a.size() == b.size().

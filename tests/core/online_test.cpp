@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -108,9 +111,15 @@ TEST_F(OnlineMonitorTest, ReportsMatchBatchAssessment) {
 }
 
 /// Checks every feature capture the monitor hands over against an
-/// independent feature build of the same span.
+/// independent full feature build of the same span. The observer names no
+/// shadow, so each capture covers exactly the active model's selection.
 class CaptureChecker final : public ScoreObserver {
  public:
+  /// `before` and `after` are the models the monitor runs before and
+  /// after its one swap.
+  CaptureChecker(const QoePipeline& before, const QoePipeline& after)
+      : before_(&before), after_(&after) {}
+
   void on_session(std::string_view, std::span<const ChunkObs> chunks,
                   const QoePipeline::SessionFeatures& features,
                   const QoeReport&) override {
@@ -128,23 +137,51 @@ class CaptureChecker final : public ScoreObserver {
   std::size_t after_swap = 0;
 
  private:
+  template <std::size_t Width>
+  static void expect_covered_cells(const std::vector<double>& captured,
+                                   const std::bitset<Width>& mask,
+                                   const std::vector<double>& full) {
+    ASSERT_EQ(captured.size(), Width);
+    ASSERT_EQ(full.size(), Width);
+    for (std::size_t c = 0; c < Width; ++c) {
+      if (mask.test(c)) {
+        EXPECT_EQ(std::memcmp(&captured[c], &full[c], sizeof(double)), 0)
+            << "cell " << c;
+      } else {
+        EXPECT_TRUE(std::isnan(captured[c])) << "cell " << c;
+      }
+    }
+  }
+
   void check(std::span<const ChunkObs> chunks,
              const QoePipeline::SessionFeatures& features) {
-    EXPECT_EQ(features.stall, stall_features(chunks));
+    const QoePipeline& active = swapped ? *after_ : *before_;
+    EXPECT_EQ(features.stall_mask, active.feature_plan().stall());
+    expect_covered_cells(features.stall, features.stall_mask,
+                         stall_features(chunks));
     if (swapped) {
       // The new model has no representation detector: nothing built, so
       // nothing may be left over from the previous model.
       EXPECT_TRUE(features.repr.empty());
+      EXPECT_TRUE(features.repr_mask.none());
       ++after_swap;
     } else {
-      EXPECT_EQ(features.repr, representation_features(chunks));
+      EXPECT_EQ(features.repr_mask, active.feature_plan().repr());
+      expect_covered_cells(features.repr, features.repr_mask,
+                           representation_features(chunks));
       ++before_swap;
     }
   }
+
+  const QoePipeline* before_;
+  const QoePipeline* after_;
 };
 
 TEST_F(OnlineMonitorTest, ObserverCaptureFollowsTheActiveModelAcrossSwap) {
-  CaptureChecker checker;
+  const auto stall_only =
+      std::make_shared<const QoePipeline>(QoePipeline::from_parts(
+          pipeline_->stall_detector(), {}, pipeline_->switch_detector()));
+  CaptureChecker checker{*pipeline_, *stall_only};
   OnlineMonitorConfig config;
   config.window.length_s = 10.0;
   config.observer = &checker;
@@ -152,9 +189,7 @@ TEST_F(OnlineMonitorTest, ObserverCaptureFollowsTheActiveModelAcrossSwap) {
   const std::size_t half = records_->size() / 2;
   for (std::size_t i = 0; i < half; ++i) (void)monitor.ingest((*records_)[i]);
   (void)monitor.take_verdicts();
-  monitor.swap_pipeline(
-      std::make_shared<const QoePipeline>(QoePipeline::from_parts(
-          pipeline_->stall_detector(), {}, pipeline_->switch_detector())));
+  monitor.swap_pipeline(stall_only);
   for (std::size_t i = half; i < records_->size(); ++i) {
     (void)monitor.ingest((*records_)[i]);
   }

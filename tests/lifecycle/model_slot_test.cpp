@@ -180,15 +180,31 @@ TEST_F(ModelSlotTest, SchemaMismatchRefusedByName) {
 }
 
 TEST_F(ModelSlotTest, LyingManifestRefused) {
-  ModelSlot slot{model_a_, core::manifest_for(*model_a_)};
-  ModelManifest lying = core::manifest_for(*model_b_);
-  lying.stall_features += 5;
-  try {
-    slot.publish(model_b_, lying);
-    FAIL() << "expected SwapError";
-  } catch (const SwapError& e) {
-    EXPECT_NE(std::string{e.what()}.find("manifest claims"), std::string::npos)
-        << e.what();
+  // Each count the manifest claims must match the loaded model, for the
+  // representation detector as much as for the stall detector.
+  struct Lie {
+    const char* field;
+    void (*apply)(ModelManifest&);
+  };
+  const Lie lies[] = {
+      {"stall_features", [](ModelManifest& m) { m.stall_features += 5; }},
+      {"stall_classes", [](ModelManifest& m) { m.stall_classes += 1; }},
+      {"repr_features", [](ModelManifest& m) { m.repr_features += 5; }},
+      {"repr_classes", [](ModelManifest& m) { m.repr_classes += 1; }},
+  };
+  for (const Lie& lie : lies) {
+    SCOPED_TRACE(lie.field);
+    ModelSlot slot{model_a_, core::manifest_for(*model_a_)};
+    ModelManifest lying = core::manifest_for(*model_b_);
+    lie.apply(lying);
+    try {
+      slot.publish(model_b_, lying);
+      ADD_FAILURE() << "expected SwapError";
+    } catch (const SwapError& e) {
+      EXPECT_NE(std::string{e.what()}.find("manifest claims"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(slot.generation(), 0u);
   }
 }
 
