@@ -8,8 +8,8 @@
 // the verdict. We slice the simulated HAS corpus into tumbling windows at
 // 2/5/10/30/60 seconds, label each window from the simulator's windowed
 // ground truth (sim::windowed_truth), train random forests on the windowed
-// feature vector (window::WindowAccumulator — the exact state the live
-// monitor scores), and evaluate on held-out windows.
+// feature vector (window::WindowAccumulator: the Table-1 metrics over the
+// window's chunks), and evaluate on held-out windows.
 #include "bench_common.h"
 
 #include "vqoe/core/labels.h"

@@ -5,14 +5,16 @@
 // This backs the vqoe::window acceptance claim: enabling mid-session
 // windowed verdicts must cost < ~20% per-record overhead on the ingest hot
 // path. The monitor's design makes that a measurable property rather than
-// a hope: ingest only maintains the O(1) accumulators and queues closed
-// windows; the forest runs at harvest (take_verdicts) — on the shard
-// workers' publish step in the engine. So the benchmarks split the two
-// costs: BM_MonitorIngestWindowed times the ingest path alone (the <20%
-// claim), BM_WindowVerdictScoring times the harvest-side inference as
-// verdicts/sec, and BM_MonitorWindowedEndToEnd reports the honest total
-// for a single thread doing both. The raw WindowAccumulator add rate
-// bounds the per-chunk state update from below.
+// a hope: ingest keeps no per-window state. It opens windows on the
+// schedule, and when one closes it binary-searches the window's chunk span
+// and queues it. The forest and the window summary run over the span at
+// harvest (take_verdicts), on the shard workers' publish step in the
+// engine. So the benchmarks split the two costs: BM_MonitorIngestWindowed
+// times the ingest path alone (the <20% claim), BM_WindowVerdictScoring
+// times the harvest-side scoring as verdicts/sec, and
+// BM_MonitorWindowedEndToEnd reports the honest total for a single thread
+// doing both. BM_WindowAccumulatorAdd times the feature extractor of the
+// window-length experiment, which the live path does not run.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -85,8 +87,8 @@ BENCHMARK(BM_MonitorIngestBaseline)
     ->UseRealTime()
     ->Apply(vqoe::bench::perf_defaults);
 
-/// The ingest hot path with 2/10/60-second tumbling windows: O(1)
-/// accumulator updates per media chunk, window close bookkeeping, and the
+/// The ingest hot path with 2/10/60-second tumbling windows: the window
+/// schedule per media chunk, the span search when a window closes, and the
 /// move-only detach of unharvested windows when sessions close. Verdicts
 /// are harvested every kHarvestEvery records with the clock paused — the
 /// deployed cadence; their scoring cost is BM_WindowVerdictScoring's. The
@@ -247,7 +249,8 @@ BENCHMARK(BM_MonitorWindowedEndToEnd)
 
 /// Raw per-chunk state update: every Table-1 metric under running
 /// min/mean/max/std plus the incremental CUSUM, no scheduling or scoring.
-/// Upper bound on the accumulator's share of the ingest overhead.
+/// The window-length experiment's feature extractor; the live ingest path
+/// does not run it.
 void BM_WindowAccumulatorAdd(benchmark::State& state) {
   constexpr std::size_t kChunks = 1 << 14;
   net::TransportStats transport;

@@ -4,19 +4,23 @@
 // on the passively monitored traffic and report issues in real time."
 // OnlineMonitor is that deployment shape: weblog records are ingested one
 // at a time in timestamp order, session boundaries are recovered
-// incrementally with the same rules as the batch reconstructor
-// (YouTube-host filter, watch-page markers, idle gaps — Section 5.2), and a
-// QoeReport is emitted the moment a session closes.
+// incrementally with the batch reconstructor's own rule (YouTube-host
+// filter, then session::step for watch-page markers and idle gaps — Section
+// 5.2), and a QoeReport is emitted the moment a session closes.
 //
 // With a window::WindowConfig the monitor additionally reports *mid-session*:
 // every time a window of the configured length closes (by a record or an
 // advance_to tick moving the stream clock past its end), the ingest path
-// only records the window's chunk span and accumulator summary — O(1), no
-// inference. take_verdicts() then scores each pending window through the
-// same QoePipeline::assess_scored code path as session close, yielding a
-// window::WindowVerdict (labels + forest confidences + the accumulator's
-// summary) per window. Deferring the forest to harvest time keeps the
-// per-record ingest overhead to the accumulator updates (bench/perf_window
+// only records the window's chunk span — the chunks the schedule's
+// membership test (window::SessionWindows::locate) places inside it, found
+// by binary search over request times. No per-window state is kept while a
+// window is open, and no inference runs. take_verdicts() then scores each
+// pending span through the same QoePipeline::assess_scored code path as
+// session close and folds it through window::WindowSummary, yielding a
+// window::WindowVerdict (labels, forest confidences, windowed CUSUM and
+// goodput) per window: every number a verdict carries comes from the chunks
+// inside its own bounds. Deferring the work to harvest time keeps the
+// per-record ingest overhead to the schedule's bookkeeping (bench/perf_window
 // measures it), and in the sharded engine it puts scoring on the shard
 // workers' publish step rather than under ingest. A verdict's content
 // depends only on its chunk span and the pipeline, never on *when* the
@@ -227,9 +231,9 @@ class OnlineMonitor {
   [[nodiscard]] const mem::SessionArena& arena() const { return arena_; }
 
  private:
-  /// A closed, gate-passing window awaiting forest scoring. The ingest hot
-  /// path only records the chunk span and the accumulator summary here;
-  /// take_verdicts() runs the detectors over the span.
+  /// A closed, gate-passing window awaiting scoring. The ingest hot path
+  /// only records the chunk span here; take_verdicts() runs the detectors
+  /// and the window summary over it.
   struct PendingWindow {
     std::uint64_t index = 0;
     double start_s = 0.0;
@@ -237,8 +241,6 @@ class OnlineMonitor {
     bool final_window = false;
     std::uint32_t begin_chunk = 0;  ///< span [begin, end) into the chunk log
     std::uint32_t end_chunk = 0;
-    double window_cusum = 0.0;
-    double mean_goodput_kbps = 0.0;
   };
 
   struct OpenSession {
@@ -248,18 +250,15 @@ class OnlineMonitor {
     OpenSession& operator=(OpenSession&&) = default;
 
     double start_time_s = 0.0;
+    /// The session's own last activity, its reported end. The subscriber's
+    /// clock may run later: a watch-page split carries it over.
     double last_activity_s = 0.0;
-    bool saw_media = false;
+    session::ActivityClock clock;  ///< Section 5.2 state (session::step)
     mem::SlabChain<ChunkObs> chunks;
     window::SessionWindows windows;
     /// Windows closed but not yet harvested. Span indices stay valid while
     /// the session lives (the chunk log only grows); close() detaches them.
     mem::ArenaVector<PendingWindow> pending;
-    /// Tumbling windows partition the chunk log, so the span of each
-    /// closed window starts where the previous one ended — this cursor
-    /// makes span recovery O(1). Sliding/gapped schedules fall back to
-    /// binary search.
-    std::uint32_t span_cursor = 0;
     /// Intrusive LRU hooks, ordered by last activity (head = coldest).
     /// The session map is node-based, so these pointers survive rehashing;
     /// `key` views the owning map node's key, stable for the same reason.
@@ -297,7 +296,8 @@ class OnlineMonitor {
   /// detached_ in one step. The caller must be done with session.chunks
   /// (it is left moved-from when anything was pending).
   void detach_pending(std::string_view subscriber, OpenSession& session);
-  /// Runs the detectors over one pending window's span into verdicts_.
+  /// Runs the detectors and the window summary over one pending window's
+  /// span into verdicts_.
   void score_pending(std::string_view subscriber, const PendingWindow& w,
                      const mem::SlabChain<ChunkObs>& chunk_log);
   /// Scores every pending window (detached + open sessions') into

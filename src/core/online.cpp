@@ -97,26 +97,24 @@ void OnlineMonitor::evict_over_ceiling(const OpenSession* keep,
 }
 
 void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
-  // The chunks of a closed window: request times in [start, end). Chunks
-  // are appended in non-decreasing request-time order, so the span is
-  // contiguous — and it is final: the window only closed because the
-  // stream clock reached its end, so every future chunk's request time is
-  // >= end. A final (session-close) window is truncated at the session end
-  // and simply runs to the end of the chunk log.
-  //
-  // Tumbling windows (the default) partition the log, so each window's
-  // span starts at the cursor where the previous one ended and holds
-  // exactly the chunks its accumulator counted — O(1), no search. Gated
-  // windows still advance the cursor: their chunks are consumed either
-  // way. Sliding (hop < length) and gapped (hop > length) schedules break
-  // the partition and recover spans by binary search instead.
-  const bool tumbling = config_.window.hop() == config_.window.length_s;
+  // The chunks of a closed window are the log entries its membership test
+  // (SessionWindows::locate) places inside it. Chunks are appended in
+  // non-decreasing request-time order, so the log splits into three runs
+  // per window (before, inside, past) and two binary searches find the
+  // span. It is final: a regular window only closed because the stream
+  // clock passed its end, so every future chunk lies past it, and a final
+  // window's nominal end lies beyond the session's last activity.
   const auto log_size = static_cast<std::uint32_t>(session.chunks.size());
-  const auto lower_idx = [&session](std::uint32_t lo, std::uint32_t hi,
-                                    double t) {
+  // The first log position in [lo, log_size) beyond `side` of window
+  // `index`.
+  const auto beyond = [&session, log_size](std::uint32_t lo,
+                                           std::uint64_t index,
+                                           window::Side side) {
+    std::uint32_t hi = log_size;
     while (lo < hi) {
       const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (session.chunks[mid].request_time_s < t) {
+      if (session.windows.locate(index, session.chunks[mid].request_time_s) <=
+          side) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -126,35 +124,17 @@ void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
   };
   for (const window::ClosedWindow& closed : closed_scratch_) {
     ++windows_closed_;
-    std::uint32_t begin_chunk = 0;
-    std::uint32_t end_chunk = 0;
-    if (tumbling) {
-      begin_chunk = session.span_cursor;
-      end_chunk =
-          closed.final_window
-              ? log_size
-              : begin_chunk + static_cast<std::uint32_t>(closed.acc.chunks());
-      session.span_cursor = end_chunk;
-      if (closed.acc.chunks() < config_.window.min_chunks) continue;
-    } else {
-      if (closed.acc.chunks() < config_.window.min_chunks) continue;
-      begin_chunk = lower_idx(0, log_size, closed.start_s);
-      end_chunk = closed.final_window
-                      ? log_size
-                      : lower_idx(begin_chunk, log_size, closed.end_s);
+    const std::uint32_t begin_chunk =
+        beyond(0, closed.index, window::Side::kBefore);
+    const std::uint32_t end_chunk =
+        beyond(begin_chunk, closed.index, window::Side::kInside);
+    if (begin_chunk == end_chunk ||
+        end_chunk - begin_chunk < config_.window.min_chunks) {
+      continue;
     }
-    if (begin_chunk >= end_chunk) continue;  // defensive: empty span
-
-    PendingWindow pending;
-    pending.index = closed.index;
-    pending.start_s = closed.start_s;
-    pending.end_s = closed.end_s;
-    pending.final_window = closed.final_window;
-    pending.begin_chunk = begin_chunk;
-    pending.end_chunk = end_chunk;
-    pending.window_cusum = closed.acc.cusum_std();
-    pending.mean_goodput_kbps = closed.acc.mean_goodput_kbps();
-    session.pending.push_back(pending);
+    session.pending.push_back(PendingWindow{closed.index, closed.start_s,
+                                            closed.end_s, closed.final_window,
+                                            begin_chunk, end_chunk});
   }
   closed_scratch_.clear();
 }
@@ -189,6 +169,10 @@ void OnlineMonitor::score_pending(std::string_view subscriber,
       chunk_log.view(w.begin_chunk, w.end_chunk, span_scratch_);
   const QoePipeline::ScoredReport scored =
       pipeline_->assess_scored(span, scratch_, nullptr, &plan_);
+  window::WindowSummary summary;
+  for (const ChunkObs& chunk : span) {
+    summary.add(chunk.request_time_s, chunk.arrival_time_s, chunk.size_bytes);
+  }
 
   window::WindowVerdict verdict;
   verdict.subscriber_id = std::string(subscriber);
@@ -204,8 +188,8 @@ void OnlineMonitor::score_pending(std::string_view subscriber,
   verdict.switch_score = scored.report.switch_score;
   verdict.stall_confidence = scored.stall_confidence;
   verdict.repr_confidence = scored.repr_confidence;
-  verdict.window_cusum = w.window_cusum;
-  verdict.mean_goodput_kbps = w.mean_goodput_kbps;
+  verdict.window_cusum = summary.cusum_std();
+  verdict.mean_goodput_kbps = summary.mean_goodput_kbps();
   if (config_.observer != nullptr) {
     config_.observer->on_window(subscriber, span, scratch_.features, verdict);
   }
@@ -219,7 +203,7 @@ void OnlineMonitor::close(std::string_view subscriber,
   if (it == open_.end()) return;
   OpenSession& session = it->second;
   lru_unlink(session);
-  if (session.chunks.size() < config_.min_chunks || !session.saw_media) {
+  if (session.chunks.size() < config_.min_chunks || session.chunks.empty()) {
     ++discarded_;
     // Windows the session already closed still emit at the next harvest (a
     // live stream can't retract them — and whether the harvest ran before
@@ -262,27 +246,13 @@ std::vector<CompletedSession> OnlineMonitor::ingest(
   std::vector<CompletedSession> completed;
   if (!config_.reconstruction.is_service(record.host)) return completed;
 
-  const bool media =
-      config_.reconstruction.is_cdn(record.host) &&
-      record.object_size_bytes >= config_.reconstruction.min_media_bytes;
-  const bool marker = config_.reconstruction.use_page_markers &&
-                      config_.reconstruction.is_page_marker(record.host);
-
   auto it = open_.find(std::string_view(record.subscriber_id));
-  if (it != open_.end()) {
-    const OpenSession& session = it->second;
-    // Step 3 of Section 5.2: a long silent gap ends the previous session.
-    if (record.timestamp_s - session.last_activity_s >
-        config_.reconstruction.idle_gap_s) {
-      close(record.subscriber_id, completed);
-      it = open_.end();
-    } else if (marker && session.saw_media) {
-      // Step 2: a fresh watch page while media was flowing.
-      close(record.subscriber_id, completed);
-      it = open_.end();
-    }
-  }
-  if (it == open_.end()) {
+  session::ActivityClock clock =
+      it != open_.end() ? it->second.clock : session::ActivityClock{};
+  const session::Step step =
+      session::step(clock, record.timestamp_s, &record, config_.reconstruction);
+  if (step.split) close(record.subscriber_id, completed);
+  if (step.opens) {
     it = open_
              .emplace(std::piecewise_construct,
                       std::forward_as_tuple(std::string_view(
@@ -299,6 +269,7 @@ std::vector<CompletedSession> OnlineMonitor::ingest(
   }
 
   OpenSession& session = it->second;
+  session.clock = clock;
   // Windows due at this record's time close *before* the record is added:
   // a record exactly at a window end closes that window and belongs to the
   // next one (half-open [start, end) windows).
@@ -306,16 +277,14 @@ std::vector<CompletedSession> OnlineMonitor::ingest(
   session.last_activity_s =
       std::max(session.last_activity_s, record.arrival_time_s());
   lru_touch(session);
-  if (media) {
-    session.saw_media = true;
+  if (step.media) {
     ChunkObs chunk;
     chunk.request_time_s = record.timestamp_s;
     chunk.arrival_time_s = record.arrival_time_s();
     chunk.size_bytes = static_cast<double>(record.object_size_bytes);
     chunk.transport = record.transport;
     session.chunks.push_back(chunk);
-    session.windows.add(chunk.request_time_s, chunk.arrival_time_s,
-                        chunk.size_bytes, chunk.transport);
+    session.windows.add(chunk.request_time_s);
   }
   evict_over_ceiling(&session, completed);
   return completed;
@@ -326,7 +295,8 @@ std::vector<CompletedSession> OnlineMonitor::advance_to(double now_s) {
   expired_scratch_.clear();
   for (auto& [subscriber, session] : open_) {
     close_windows_due(session, now_s);
-    if (now_s - session.last_activity_s > config_.reconstruction.idle_gap_s) {
+    if (session::step(session.clock, now_s, nullptr, config_.reconstruction)
+            .split) {
       // Views into map nodes: stable across the closes below (node-based
       // erase touches only the erased node).
       expired_scratch_.push_back(session.key);

@@ -11,10 +11,14 @@
 //  2. split on watch-page marker bursts that appear after media traffic,
 //  3. split on long silent gaps.
 //
-// A timestamp/chunk-count join against instrumented-client ground truth
-// (the paper's Section 5.2 dataset merge) is provided for evaluation.
+// Steps 2 and 3 live in one function, step(), which the batch reconstructor
+// and the streaming core::OnlineMonitor both call, so the two draw the same
+// boundaries. A timestamp/chunk-count join against instrumented-client
+// ground truth (the paper's Section 5.2 dataset merge) is provided for
+// evaluation.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -55,6 +59,61 @@ struct ReconstructedSession {
   std::vector<trace::WeblogRecord> media;  ///< chronological media chunks
   std::size_t page_object_count = 0;
 };
+
+/// One subscriber's Section 5.2 state between events.
+struct ActivityClock {
+  /// The subscriber's last activity: the latest arrival of any of its
+  /// service records. A watch-page split carries it into the next session,
+  /// because a download still in flight means the subscriber was not
+  /// silent: the idle gap is measured from it, not from the first record
+  /// of the session the split opened.
+  double last_activity_s = 0.0;
+  bool open = false;       ///< a session is open
+  bool saw_media = false;  ///< the open session holds a media chunk
+};
+
+/// What step() made of one event.
+struct Step {
+  bool media = false;  ///< the record is a media chunk
+  bool split = false;  ///< the event ends the open session
+  bool opens = false;  ///< the record opens a session (after a split too)
+};
+
+/// Section 5.2 for one event on a subscriber's time-ordered stream of
+/// service records: `record` at `now_s` (its timestamp), or a clock tick at
+/// `now_s` when `record` is null. Classifies the record by host and size
+/// only: media is a CDN host at >= min_media_bytes, a marker is the watch
+/// page. Then decides whether the event ends the open session: step 3, a
+/// silence longer than idle_gap_s since the subscriber's last activity, and
+/// step 2, a watch page after media. A record is then folded into `clock`;
+/// a tick leaves it as it was. Inline because the online monitor runs it
+/// for every open session on every clock tick.
+[[nodiscard]] inline Step step(ActivityClock& clock, double now_s,
+                               const trace::WeblogRecord* record,
+                               const ReconstructionOptions& options) {
+  Step s;
+  // Host-only classification: no cleartext metadata. The watch page marks
+  // a new session; thumbnail hosts also load while browsing, so only the
+  // page itself is a reliable marker.
+  bool marker = false;
+  if (record != nullptr) {
+    s.media = options.is_cdn(record->host) &&
+              record->object_size_bytes >= options.min_media_bytes;
+    marker = options.use_page_markers && options.is_page_marker(record->host);
+  }
+  // Step 3: long silence terminates the session. Step 2: a new watch page
+  // while media was flowing -> next video.
+  s.split = clock.open && (now_s - clock.last_activity_s > options.idle_gap_s ||
+                           (marker && clock.saw_media));
+  if (record == nullptr) return s;
+  s.opens = s.split || !clock.open;
+  const double arrival = record->arrival_time_s();
+  clock.last_activity_s =
+      clock.open ? std::max(clock.last_activity_s, arrival) : arrival;
+  clock.open = true;
+  clock.saw_media = (clock.saw_media && !s.opens) || s.media;
+  return s;
+}
 
 /// Host classification from the names that survive encryption — YouTube
 /// defaults (other services: use ReconstructionOptions::is_* with the

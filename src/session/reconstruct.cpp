@@ -68,50 +68,27 @@ std::vector<ReconstructedSession> reconstruct(
                      });
 
     ReconstructedSession current;
-    current.subscriber_id = subscriber;
-    bool open = false;
-    double last_ts = 0.0;
-
-    auto close = [&]() {
-      if (open && !current.media.empty()) {
-        sessions.push_back(std::move(current));
-      }
-      current = ReconstructedSession{};
-      current.subscriber_id = subscriber;
-      open = false;
+    ActivityClock clock;
+    auto emit = [&]() {
+      if (!current.media.empty()) sessions.push_back(std::move(current));
     };
 
     for (const trace::WeblogRecord* r : recs) {
-      // Host-only classification: no cleartext metadata. The watch page
-      // marks a new session; thumbnail hosts also load while browsing, so
-      // only the page itself is a reliable marker.
-      const bool media = options.is_cdn(r->host) &&
-                         r->object_size_bytes >= options.min_media_bytes;
-      const bool marker =
-          options.use_page_markers && options.is_page_marker(r->host);
-
-      if (open && r->timestamp_s - last_ts > options.idle_gap_s) {
-        // Step 3: long silence terminates the session.
-        close();
-      }
-      if (open && marker && !current.media.empty()) {
-        // Step 2: a new watch page while media was flowing -> next video.
-        close();
-      }
-
-      if (!open) {
-        open = true;
+      const Step s = step(clock, r->timestamp_s, r, options);
+      if (s.split) emit();
+      if (s.opens) {
+        current = ReconstructedSession{};
+        current.subscriber_id = subscriber;
         current.start_time_s = r->timestamp_s;
       }
-      last_ts = std::max(last_ts, r->arrival_time_s());
       current.end_time_s = std::max(current.end_time_s, r->arrival_time_s());
-      if (media) {
+      if (s.media) {
         current.media.push_back(*r);
       } else {
         current.page_object_count++;
       }
     }
-    close();
+    emit();
   }
 
   std::stable_sort(sessions.begin(), sessions.end(),

@@ -39,8 +39,8 @@ void cusum_chart_into(std::span<const double> series, std::span<double> out,
 [[nodiscard]] double cusum_std(std::span<const double> series);
 
 /// Incremental cusum_std(): the same statistic, updatable in O(1) per
-/// observation without buffering the series (the windowed live path,
-/// vqoe::window, keeps one per in-flight window).
+/// observation without buffering the series (vqoe::window's WindowSummary
+/// folds a window's chunks through one).
 ///
 /// Derivation: with prefix sums P_t = Σ_{i<=t} x_i and the sample mean
 /// μ = P_n / n, the chart is S_t = P_t - tμ, so

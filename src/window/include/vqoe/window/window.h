@@ -10,20 +10,25 @@
 //    length gives overlapping (sliding) windows, hop == length tumbling
 //    ones; windows are half-open [start, start+length) intervals anchored
 //    at the session's first record.
-//  * WindowAccumulator   — incremental per-window feature state: the
-//    Table-1 transport metrics under running min/mean/max/std
-//    (ts::OnlineStats), inter-arrival statistics, byte/chunk counts and a
-//    windowed CUSUM-std of Δsize × Δt (ts::CusumStd). Every add() is O(1);
-//    nothing is buffered.
 //  * SessionWindows      — the window *schedule* of one open session: which
-//    windows are in flight, which chunks land in which window, and which
-//    windows a given stream time closes. Per ingested chunk the work is
-//    O(ceil(length/hop)) — the number of overlapping windows a chunk can
-//    belong to, a constant for a fixed configuration (exactly 1 for
-//    tumbling windows).
+//    windows are in flight and when each is due. It holds no per-window
+//    state: a window is a span of the session's chunk log, the chunks
+//    whose request time locate() places inside it. That membership test is
+//    the only one: add() uses it to decide which windows a chunk opens,
+//    close_due() to decide which windows a tick closes, and
+//    core::OnlineMonitor to recover a closed window's span.
+//  * WindowSummary       — the two statistics a verdict carries beyond its
+//    labels: the windowed CUSUM-std of Δsize × Δt and the mean goodput,
+//    folded over a span in request-time order.
+//  * WindowAccumulator   — the full windowed feature vector: the Table-1
+//    transport metrics under running min/mean/max/std (ts::OnlineStats),
+//    inter-arrival statistics, byte/chunk counts and a WindowSummary.
+//    Every add() is O(1); nothing is buffered. The window-length
+//    experiment (bench/ext_window_length) extracts its features with it;
+//    the live path does not run it.
 //  * WindowVerdict       — one entry of the live verdict stream: subscriber,
 //    window bounds, the stall/representation verdicts with forest
-//    confidences, the switch statistic, and the accumulator's summary.
+//    confidences, the switch statistic, and the span's WindowSummary.
 //
 // Boundary semantics are pinned (and regression-tested): a chunk whose
 // request time lands exactly on a window end belongs to the *next* window
@@ -70,10 +75,34 @@ struct WindowConfig {
 /// as the session feature sets.
 [[nodiscard]] const std::vector<std::string>& window_feature_names();
 
-/// O(1)-per-chunk feature state of one window. Units match the session
-/// feature sets (core/features.cpp): sizes in KB, times in seconds, RTT in
-/// ms, loss/retransmissions in percent — the CUSUM signal is therefore
-/// KB·s, the unit of the paper's fixed switch threshold.
+/// The windowed CUSUM-std of Δsize × Δt and the mean per-chunk goodput,
+/// folded over a window's chunks in request-time order. The one formula
+/// for both figures: the live path runs it over a closed window's span at
+/// harvest, WindowAccumulator runs it chunk by chunk. Units match the
+/// session feature sets (core/features.cpp): sizes in KB and times in
+/// seconds, so the CUSUM signal is KB·s, the unit of the paper's fixed
+/// switch threshold; goodput is in kbit/s.
+class WindowSummary {
+ public:
+  /// Folds one media chunk in. Chunks must arrive in non-decreasing
+  /// request-time order (the monitors' ingest invariant).
+  void add(double request_time_s, double arrival_time_s, double size_bytes);
+
+  /// Windowed STD(CUSUM(Δsize × Δt)) over the chunks folded in.
+  [[nodiscard]] double cusum_std() const { return cusum_.value(); }
+  [[nodiscard]] double mean_goodput_kbps() const { return goodput_.mean(); }
+  /// Per-chunk goodput under running min/mean/max/std.
+  [[nodiscard]] const ts::OnlineStats& goodput() const { return goodput_; }
+
+ private:
+  ts::OnlineStats goodput_;
+  ts::CusumStd cusum_;  ///< over Δsize × Δt of consecutive chunks
+  double prev_arrival_s_ = 0.0;
+  double prev_size_kb_ = 0.0;
+};
+
+/// O(1)-per-chunk feature state of one window, in the units of
+/// WindowSummary (RTT in ms, loss/retransmissions in percent).
 class WindowAccumulator {
  public:
   /// Folds one media chunk in. Chunks must arrive in non-decreasing
@@ -83,9 +112,11 @@ class WindowAccumulator {
 
   [[nodiscard]] std::size_t chunks() const { return size_kb_.count(); }
   [[nodiscard]] double bytes_kb() const { return bytes_kb_; }
-  [[nodiscard]] double mean_goodput_kbps() const { return goodput_.mean(); }
+  [[nodiscard]] double mean_goodput_kbps() const {
+    return summary_.mean_goodput_kbps();
+  }
   /// Windowed STD(CUSUM(Δsize × Δt)) over the chunks of this window only.
-  [[nodiscard]] double cusum_std() const { return cusum_.value(); }
+  [[nodiscard]] double cusum_std() const { return summary_.cusum_std(); }
 
   /// Writes the window_feature_names() vector (resized to fit).
   void features_into(std::vector<double>& out) const;
@@ -94,13 +125,16 @@ class WindowAccumulator {
   ts::OnlineStats rtt_min_, rtt_avg_, rtt_max_;
   ts::OnlineStats bdp_kb_, bif_avg_kb_, bif_max_kb_;
   ts::OnlineStats loss_, retrans_;
-  ts::OnlineStats size_kb_, dt_, goodput_;
-  ts::CusumStd cusum_;  ///< over Δsize × Δt of consecutive chunks
+  ts::OnlineStats size_kb_, dt_;
+  WindowSummary summary_;  ///< goodput and the windowed CUSUM
   double bytes_kb_ = 0.0;
   double prev_arrival_s_ = 0.0;
-  double prev_size_kb_ = 0.0;
-  bool has_prev_ = false;
 };
+
+/// Where a stream time lies relative to one window: before its start,
+/// inside the half-open [start, end), or past its end. Ordered, so a
+/// time-sorted chunk log partitions into three runs.
+enum class Side : std::uint8_t { kBefore, kInside, kPast };
 
 /// One window a SessionWindows instance closed.
 struct ClosedWindow {
@@ -110,11 +144,11 @@ struct ClosedWindow {
   /// Closed by session close rather than by the stream clock: the window
   /// was truncated, end_s is the session's last activity.
   bool final_window = false;
-  WindowAccumulator acc;
 };
 
-/// The window schedule of one open session. Only windows that received at
-/// least one chunk are materialized (and therefore reported): an idle
+/// The window schedule of one open session: the in-flight window indices,
+/// each due when the stream clock reaches its end. Only windows that hold
+/// at least one chunk are materialized (and therefore reported): an idle
 /// subscriber does not generate empty-window verdicts.
 class SessionWindows {
  public:
@@ -125,21 +159,23 @@ class SessionWindows {
 
   [[nodiscard]] bool enabled() const { return config_.enabled(); }
 
-  /// Closes every in-flight window whose end is <= now_s (oldest first),
+  /// Closes every in-flight window that `now_s` is past (oldest first),
   /// appending them to `out`. Callers invoke this *before* add() with the
   /// same timestamp so the boundary semantics above hold.
   void close_due(double now_s, std::vector<ClosedWindow>& out);
 
-  /// Folds one media chunk into every window containing its request time,
-  /// materializing windows as needed.
-  void add(double request_time_s, double arrival_time_s, double size_bytes,
-           const net::TransportStats& transport);
+  /// Opens every window that holds a media chunk's request time and is not
+  /// in flight yet. Precondition: close_due(request_time_s) ran first, so
+  /// every in-flight window holds it too.
+  void add(double request_time_s);
 
   /// Session close: emits every remaining in-flight window as final,
   /// truncated at `session_end_s`. The schedule is empty afterwards.
   void close_all(double session_end_s, std::vector<ClosedWindow>& out);
 
-  [[nodiscard]] std::size_t in_flight() const { return open_.size(); }
+  [[nodiscard]] std::size_t in_flight() const {
+    return static_cast<std::size_t>(end_ - first_);
+  }
 
   [[nodiscard]] double window_start(std::uint64_t index) const {
     return anchor_ + static_cast<double>(index) * config_.hop();
@@ -148,20 +184,24 @@ class SessionWindows {
     return window_start(index) + config_.length_s;
   }
 
- private:
-  struct InFlight {
-    std::uint64_t index = 0;
-    WindowAccumulator acc;
-  };
+  /// The membership test: time `t` is inside window `index` when
+  /// window_start(index) <= t && t < window_end(index), and past it when
+  /// window_end(index) <= t (the close rule). Decided on the bounds
+  /// themselves, never on floor((t - anchor) / hop): at a boundary tie
+  /// that quotient can round to the other side of the integer the bound
+  /// anchor + index * hop sits on.
+  [[nodiscard]] Side locate(std::uint64_t index, double t) const {
+    if (window_end(index) <= t) return Side::kPast;
+    return window_start(index) <= t ? Side::kInside : Side::kBefore;
+  }
 
+ private:
   WindowConfig config_;
   double anchor_ = 0.0;
-  /// Ascending index, each with >= 1 chunk. A vector, not a deque: the
-  /// in-flight count is ceil(length/hop) — 1 for tumbling windows — so
-  /// front-erasure moves almost nothing, and unlike libstdc++'s deque a
-  /// default-constructed vector performs no allocation (every OpenSession
-  /// embeds one of these, windowing enabled or not).
-  std::vector<InFlight> open_;
+  /// In-flight windows: the indices [first_, end_), a contiguous run
+  /// because chunks arrive in request-time order.
+  std::uint64_t first_ = 0;
+  std::uint64_t end_ = 0;
 };
 
 /// One entry of the live verdict stream: what a shard's monitor emits every
@@ -182,8 +222,8 @@ struct WindowVerdict {
   double switch_score = 0.0;       ///< session-path CUSUM-std over the span
   double stall_confidence = 0.0;   ///< forest vote share behind `stall`
   double repr_confidence = 0.0;    ///< 0 when the detector is untrained
-  double window_cusum = 0.0;       ///< the O(1) accumulator's CUSUM-std
-  double mean_goodput_kbps = 0.0;  ///< accumulator summary
+  double window_cusum = 0.0;       ///< WindowSummary::cusum_std of the span
+  double mean_goodput_kbps = 0.0;  ///< WindowSummary of the span
 };
 
 }  // namespace vqoe::window

@@ -36,6 +36,18 @@ const std::vector<std::string>& window_feature_names() {
   return names;
 }
 
+void WindowSummary::add(double request_time_s, double arrival_time_s,
+                        double size_bytes) {
+  const double size_kb = size_bytes / kBytesPerKB;
+  if (goodput_.count() > 0) {
+    cusum_.add((size_kb - prev_size_kb_) * (arrival_time_s - prev_arrival_s_));
+  }
+  const double duration = arrival_time_s - request_time_s;
+  goodput_.add(duration > 0.0 ? size_bytes * 8.0 / duration / 1000.0 : 0.0);
+  prev_arrival_s_ = arrival_time_s;
+  prev_size_kb_ = size_kb;
+}
+
 void WindowAccumulator::add(double request_time_s, double arrival_time_s,
                             double size_bytes,
                             const net::TransportStats& transport) {
@@ -48,18 +60,11 @@ void WindowAccumulator::add(double request_time_s, double arrival_time_s,
   bif_max_kb_.add(transport.bif_max_bytes / kBytesPerKB);
   loss_.add(transport.loss_pct);
   retrans_.add(transport.retrans_pct);
+  if (chunks() > 0) dt_.add(arrival_time_s - prev_arrival_s_);
   size_kb_.add(size_kb);
-  const double duration = arrival_time_s - request_time_s;
-  goodput_.add(duration > 0.0 ? size_bytes * 8.0 / duration / 1000.0 : 0.0);
   bytes_kb_ += size_kb;
-  if (has_prev_) {
-    const double dt = arrival_time_s - prev_arrival_s_;
-    dt_.add(dt);
-    cusum_.add((size_kb - prev_size_kb_) * dt);
-  }
   prev_arrival_s_ = arrival_time_s;
-  prev_size_kb_ = size_kb;
-  has_prev_ = true;
+  summary_.add(request_time_s, arrival_time_s, size_bytes);
 }
 
 void WindowAccumulator::features_into(std::vector<double>& out) const {
@@ -75,86 +80,60 @@ void WindowAccumulator::features_into(std::vector<double>& out) const {
   append_stats(retrans_, out);
   append_stats(size_kb_, out);
   append_stats(dt_, out);
-  append_stats(goodput_, out);
+  append_stats(summary_.goodput(), out);
   out.push_back(static_cast<double>(chunks()));
   out.push_back(bytes_kb_);
-  out.push_back(cusum_.value());
+  out.push_back(summary_.cusum_std());
 }
 
 void SessionWindows::start(const WindowConfig& config,
                            double session_start_s) {
   config_ = config;
   anchor_ = session_start_s;
-  open_.clear();
+  first_ = 0;
+  end_ = 0;
 }
 
 void SessionWindows::close_due(double now_s, std::vector<ClosedWindow>& out) {
   if (!enabled()) return;
-  // Close condition is end <= now: a tick exactly at a window end closes
-  // it (the pinned boundary semantics — see the header comment).
-  std::size_t closed_n = 0;
-  while (closed_n < open_.size() &&
-         window_end(open_[closed_n].index) <= now_s) {
-    InFlight& w = open_[closed_n];
-    ClosedWindow closed;
-    closed.index = w.index;
-    closed.start_s = window_start(w.index);
-    closed.end_s = window_end(w.index);
-    closed.final_window = false;
-    closed.acc = std::move(w.acc);
-    out.push_back(std::move(closed));
-    ++closed_n;
+  // Window ends ascend with the index, so the due windows are a prefix of
+  // the in-flight run.
+  for (; first_ < end_ && locate(first_, now_s) == Side::kPast; ++first_) {
+    out.push_back(ClosedWindow{first_, window_start(first_),
+                               window_end(first_), false});
   }
-  open_.erase(open_.begin(),
-              open_.begin() + static_cast<std::ptrdiff_t>(closed_n));
 }
 
-void SessionWindows::add(double request_time_s, double arrival_time_s,
-                         double size_bytes,
-                         const net::TransportStats& transport) {
-  if (!enabled()) return;
-  const double hop = config_.hop();
-  // The windows containing request time t are the indices i with
-  // start(i) <= t < end(i), i.e. (t - anchor - length)/hop < i <=
-  // (t - anchor)/hop. A chunk exactly at a window end is excluded from
-  // that window (strict <) and included in the next — half-open
-  // [start, end) intervals, the pinned boundary rule.
+void SessionWindows::add(double request_time_s) {
   const double rel = request_time_s - anchor_;
-  double lo = std::floor((rel - config_.length_s) / hop) + 1.0;
-  if (lo < 0.0) lo = 0.0;
-  const double hi = std::floor(rel / hop);
-  if (hi < lo) return;  // before the first window (cannot happen in-order)
-  const auto i_lo = static_cast<std::uint64_t>(lo);
-  const auto i_hi = static_cast<std::uint64_t>(hi);
-  // Materialize the missing tail of [i_lo, i_hi]. In-order ingestion plus
-  // close_due(t) before add(t) guarantee every open window's index is
-  // already >= i_lo and <= previous i_hi, so the open set stays a
-  // contiguous ascending run.
-  std::uint64_t next = open_.empty() ? i_lo : open_.back().index + 1;
-  if (next < i_lo) next = i_lo;
-  for (std::uint64_t i = next; i <= i_hi; ++i) {
-    open_.push_back(InFlight{i, WindowAccumulator{}});
-  }
-  for (InFlight& w : open_) {
-    if (w.index >= i_lo) {
-      w.acc.add(request_time_s, arrival_time_s, size_bytes, transport);
+  // A time before the anchor holds no window (cannot happen in order); a
+  // non-finite one would never end the walks below.
+  if (!enabled() || !std::isfinite(rel) || rel < 0.0) return;
+  // floor() only guesses the last window started by t; locate() decides.
+  const double guess = std::floor(rel / config_.hop());
+  std::uint64_t last = guess > 0.0 ? static_cast<std::uint64_t>(guess) : 0;
+  while (last > 0 && locate(last, request_time_s) == Side::kBefore) --last;
+  while (locate(last + 1, request_time_s) != Side::kBefore) ++last;
+  // In a gap between windows (hop > length): no window holds the chunk.
+  if (locate(last, request_time_s) != Side::kInside) return;
+  if (first_ == end_) {
+    // Nothing in flight: the chunk opens every window holding it, a run
+    // that ends at `last`. Otherwise the run starts at first_ already.
+    first_ = last;
+    while (first_ > 0 && locate(first_ - 1, request_time_s) == Side::kInside) {
+      --first_;
     }
   }
+  end_ = last + 1;
 }
 
 void SessionWindows::close_all(double session_end_s,
                                std::vector<ClosedWindow>& out) {
   if (!enabled()) return;
-  for (InFlight& w : open_) {
-    ClosedWindow closed;
-    closed.index = w.index;
-    closed.start_s = window_start(w.index);
-    closed.end_s = session_end_s;
-    closed.final_window = true;
-    closed.acc = std::move(w.acc);
-    out.push_back(std::move(closed));
+  for (; first_ < end_; ++first_) {
+    out.push_back(
+        ClosedWindow{first_, window_start(first_), session_end_s, true});
   }
-  open_.clear();
 }
 
 }  // namespace vqoe::window

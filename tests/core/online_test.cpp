@@ -259,6 +259,76 @@ TEST_F(OnlineMonitorTest, AdvanceToBoundaryTickKeepsExtendableSession) {
   EXPECT_EQ(late.open_sessions(), 0u);
 }
 
+/// One subscriber whose download is still in flight when the next watch
+/// page loads: the media request at 2 s arrives at 42 s, after the page at
+/// 5 s split the session. Batch reconstruction measures the idle gap from
+/// the subscriber's last activity (42 s), so the chunks at 6, 40 and 41 s
+/// stay one session.
+std::vector<trace::WeblogRecord> page_split_feed() {
+  const auto record = [](const char* host, double t_s, double transaction_s,
+                         std::uint64_t bytes, trace::RecordKind kind) {
+    trace::WeblogRecord r;
+    r.subscriber_id = "s";
+    r.host = host;
+    r.timestamp_s = t_s;
+    r.transaction_time_s = transaction_s;
+    r.object_size_bytes = bytes;
+    r.kind = kind;
+    return r;
+  };
+  const char* page = "m.youtube.com";
+  const char* cdn = "r3---sn-h5q7dne7.googlevideo.com";
+  const auto media = trace::RecordKind::media;
+  const auto page_kind = trace::RecordKind::page_object;
+  return {record(page, 0.0, 0.2, 60'000, page_kind),
+          record(cdn, 1.0, 0.5, 900'000, media),
+          record(cdn, 2.0, 40.0, 900'000, media),
+          record(page, 5.0, 0.2, 60'000, page_kind),
+          record(cdn, 6.0, 0.5, 900'000, media),
+          record(cdn, 40.0, 0.5, 900'000, media),
+          record(cdn, 41.0, 0.5, 900'000, media)};
+}
+
+/// Streams page_split_feed() through a monitor, with an advance_to(38)
+/// tick before the record at 40 s when `tick`, and checks the sessions
+/// against the batch reconstructor's: start, end and chunk count.
+void expect_batch_sessions(const QoePipeline& pipeline, bool tick) {
+  const auto feed = page_split_feed();
+  const auto batch = session::reconstruct(feed);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].start_time_s, 0.0);
+  EXPECT_EQ(batch[0].end_time_s, 42.0);
+  EXPECT_EQ(batch[0].media.size(), 2u);
+  EXPECT_EQ(batch[1].start_time_s, 5.0);
+  EXPECT_EQ(batch[1].end_time_s, 41.5);
+  EXPECT_EQ(batch[1].media.size(), 3u);
+
+  OnlineMonitor monitor{pipeline};
+  std::vector<CompletedSession> online;
+  const auto append = [&online](std::vector<CompletedSession>&& done) {
+    online.insert(online.end(), done.begin(), done.end());
+  };
+  for (const auto& record : feed) {
+    if (tick && record.timestamp_s == 40.0) append(monitor.advance_to(38.0));
+    append(monitor.ingest(record));
+  }
+  append(monitor.flush());
+  ASSERT_EQ(online.size(), batch.size());
+  for (std::size_t i = 0; i < online.size(); ++i) {
+    EXPECT_EQ(online[i].start_time_s, batch[i].start_time_s) << i;
+    EXPECT_EQ(online[i].end_time_s, batch[i].end_time_s) << i;
+    EXPECT_EQ(online[i].chunk_count, batch[i].media.size()) << i;
+  }
+}
+
+TEST_F(OnlineMonitorTest, WatchPageSplitCarriesTheSubscriberActivityClock) {
+  expect_batch_sessions(*pipeline_, /*tick=*/false);
+}
+
+TEST_F(OnlineMonitorTest, TickAfterWatchPageSplitUsesTheSubscriberClock) {
+  expect_batch_sessions(*pipeline_, /*tick=*/true);
+}
+
 TEST_F(OnlineMonitorTest, MinChunksDiscardsNoise) {
   OnlineMonitorConfig config;
   config.min_chunks = 1000000;  // nothing qualifies

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -126,6 +130,71 @@ TEST_F(MonitorWindowTest, TickAtWindowEndClosesWindowNotSession) {
   const auto done = monitor.flush();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].chunk_count, 2u);
+}
+
+/// A millisecond-resolution chunk train whose 4-s cadence keeps landing on
+/// the boundaries of 10-s windows anchored at its first chunk: each request
+/// time is parsed from its millisecond text, as a CSV feed would give it.
+std::vector<trace::WeblogRecord> boundary_tie_train() {
+  std::vector<trace::WeblogRecord> records;
+  const std::int64_t first_ms = 31'923'204;
+  for (std::int64_t k = 0; k * 4'000 <= 3'688'000; ++k) {
+    const std::int64_t ms = first_ms + k * 4'000;
+    const std::string text = std::to_string(ms / 1000) + "." +
+                             std::to_string(1000 + ms % 1000).substr(1);
+    double t_s = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), t_s);
+    trace::WeblogRecord r = media_record(
+        "s", t_s, 300'000 + 97'000 * static_cast<std::uint64_t>(k % 7));
+    r.transaction_time_s = 0.5;
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+// Every number a verdict carries comes from the chunks inside its own
+// bounds, at every hop, even where a chunk ties a window boundary: the
+// schedule, the scored span, the min_chunks gate and the window summary all
+// go through one membership test.
+TEST_F(MonitorWindowTest, BoundaryTiesKeepVerdictsInsideTheirBounds) {
+  const auto records = boundary_tie_train();
+  ASSERT_EQ(records.size(), 923u);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const double hop : {0.0, 5.0, 2.5, 15.0}) {
+    SCOPED_TRACE(hop);
+    OnlineMonitor monitor{*pipeline_, windowed_config(10.0, hop)};
+    for (const auto& r : records) ASSERT_TRUE(monitor.ingest(r).empty());
+    const auto done = monitor.flush();
+    ASSERT_EQ(done.size(), 1u);
+    ASSERT_EQ(done[0].chunk_count, records.size());
+    const auto verdicts = monitor.take_verdicts();
+    ASSERT_FALSE(verdicts.empty());
+
+    std::set<std::uint64_t> indices;
+    std::size_t chunks = 0;
+    for (const auto& v : verdicts) {
+      EXPECT_TRUE(indices.insert(v.window_index).second)
+          << "duplicate window " << v.window_index;
+      window::WindowAccumulator expected;
+      for (const auto& r : records) {
+        if (r.timestamp_s >= v.start_s &&
+            (v.final_window || r.timestamp_s < v.end_s)) {
+          expected.add(r.timestamp_s, r.arrival_time_s(),
+                       static_cast<double>(r.object_size_bytes), r.transport);
+        }
+      }
+      EXPECT_EQ(v.chunk_count, expected.chunks()) << v.window_index;
+      EXPECT_EQ(bits(v.window_cusum), bits(expected.cusum_std()))
+          << v.window_index;
+      EXPECT_EQ(bits(v.mean_goodput_kbps), bits(expected.mean_goodput_kbps()))
+          << v.window_index;
+      chunks += v.chunk_count;
+    }
+    if (hop == 0.0) {
+      EXPECT_EQ(verdicts.size(), 369u);  // windows 0..368, none repeated
+      EXPECT_EQ(chunks, records.size());
+    }
+  }
 }
 
 TEST_F(MonitorWindowTest, WindowMinChunksGatesVerdictsNotCounters) {
