@@ -16,6 +16,7 @@
 #include "bench_json.h"
 #include "vqoe/core/online.h"
 #include "vqoe/engine/engine.h"
+#include "vqoe/lifecycle/drift.h"
 #include "vqoe/mem/arena.h"
 #include "vqoe/workload/corpus.h"
 
@@ -189,6 +190,58 @@ BENCHMARK(BM_EngineThroughputLifecycle)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()->Apply(vqoe::bench::perf_defaults);
+
+/// The chunk views of 1200 seeded all-adaptive sessions: what a shard's
+/// drift tracker is handed at session close.
+const std::vector<std::vector<core::ChunkObs>>& drift_sessions() {
+  static const auto sessions = [] {
+    auto options = workload::cleartext_corpus_options(1200, 98);
+    options.adaptive_fraction = 1.0;
+    options.keep_session_results = false;
+    std::vector<std::vector<core::ChunkObs>> out;
+    for (auto& session :
+         core::sessions_from_corpus(workload::generate_corpus(options))) {
+      out.push_back(std::move(session.chunks));
+    }
+    return out;
+  }();
+  return sessions;
+}
+
+/// Drift's cost per closed session on its own (lifecycle::DriftMonitor,
+/// default DriftConfig): each iteration starts from a tracker whose
+/// reference is frozen and whose reservoirs are empty, and observes the
+/// remaining sessions — the reservoirs fill, then start replacing, and
+/// the KS distances are refreshed every recompute_every sessions.
+/// us_per_session is the figure the livebench ledger reports as
+/// lifecycle.drift_us_per_session.
+void BM_DriftObserve(benchmark::State& state) {
+  const auto& sessions = drift_sessions();
+  lifecycle::DriftConfig config;
+  config.enabled = true;
+  lifecycle::DriftMonitor warm{config, 0};
+  for (std::size_t i = 0; i < config.reference_sessions; ++i) {
+    warm.observe(sessions[i]);
+  }
+  const std::size_t per_pass = sessions.size() - config.reference_sessions;
+  double distance = 0.0;
+  for (auto _ : state) {
+    lifecycle::DriftMonitor drift = warm;
+    for (std::size_t i = config.reference_sessions; i < sessions.size(); ++i) {
+      drift.observe(sessions[i]);
+    }
+    distance = drift.distance();
+    benchmark::DoNotOptimize(distance);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(per_pass));
+  state.counters["us_per_session"] = benchmark::Counter(
+      static_cast<double>(per_pass) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["drift_distance"] = distance;
+}
+BENCHMARK(BM_DriftObserve)->Unit(benchmark::kMillisecond)->UseRealTime()->Apply(vqoe::bench::perf_defaults);
 
 /// Session churn on the per-monitor arena: 64 subscribers' sessions open
 /// and close across the feed, and freed session state recirculates through

@@ -208,9 +208,12 @@ class OnlineMonitor {
   /// Scores every window closed since the last call and returns the
   /// verdicts (per session in close order). This is where the forest runs:
   /// the ingest path only queues closed windows, so harvest cadence — not
-  /// record rate — sets the inference cost. Cheap no-op when windowing is
-  /// disabled or nothing closed. Also the point where detached chunk logs
-  /// (from sessions that died with pending windows) return to the arena.
+  /// record rate — sets the inference cost. Cheap no-op when nothing
+  /// closed since the last call: the open sessions are not walked then, so
+  /// harvesting after every record (as the engine's shard workers do)
+  /// costs a few branches per record. Also the point where detached chunk
+  /// logs (from sessions that died with pending windows) return to the
+  /// arena.
   [[nodiscard]] std::vector<window::WindowVerdict> take_verdicts();
 
   [[nodiscard]] std::size_t open_sessions() const { return open_.size(); }
@@ -338,6 +341,10 @@ class OnlineMonitor {
   std::vector<window::ClosedWindow> closed_scratch_;
   /// Pending windows that outlived their sessions, scored at next harvest.
   std::vector<DetachedWindows> detached_;
+  /// Some open session may hold a pending window: set when a window is
+  /// queued, cleared by score_all_pending()'s walk over the open sessions,
+  /// which a harvest with nothing pending skips.
+  bool open_pending_ = false;
   /// Verdicts scored by the current take_verdicts() call.
   std::vector<window::WindowVerdict> verdicts_;
   /// Gather buffer for chunk spans that cross slab-chain segments.

@@ -135,6 +135,7 @@ void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
     session.pending.push_back(PendingWindow{closed.index, closed.start_s,
                                             closed.end_s, closed.final_window,
                                             begin_chunk, end_chunk});
+    open_pending_ = true;
   }
   closed_scratch_.clear();
 }
@@ -332,14 +333,16 @@ void OnlineMonitor::score_all_pending() {
   // Destroying the DetachedWindows entries returns their truncated chunk
   // logs and pending lists to the arena's freelists.
   detached_.clear();
-  if (config_.window.enabled()) {
-    for (auto& [subscriber, session] : open_) {
-      for (const PendingWindow& pending : session.pending) {
-        score_pending(session.key, pending, session.chunks);
-      }
-      session.pending.clear();
+  // The engine harvests after every record: walk the open sessions only
+  // when one of them may hold a pending window.
+  if (!open_pending_) return;
+  for (auto& [subscriber, session] : open_) {
+    for (const PendingWindow& pending : session.pending) {
+      score_pending(session.key, pending, session.chunks);
     }
+    session.pending.clear();
   }
+  open_pending_ = false;
 }
 
 std::vector<window::WindowVerdict> OnlineMonitor::take_verdicts() {

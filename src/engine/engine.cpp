@@ -68,6 +68,15 @@ bool MonitorEngine::ingest(const trace::WeblogRecordView& view) {
   maybe_watermark(view.timestamp_s);
 
   Shard& shard = *shards_[router_.shard_of(view.subscriber_id)];
+  // Step 1 of Section 5.2 before the copy: the shard's monitor would drop a
+  // record on no service host on its first line, so the router handles it
+  // here, on its shard's books, and it never enters the queue. The tick
+  // above has already read its timestamp.
+  if (!config_.monitor.reconstruction.is_service(view.host)) {
+    // order: relaxed — independent counter; stats() reads it as a snapshot
+    shard.ingest_side.filtered.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
   // order: relaxed — independent counter; nothing is ordered against it
   shard.ingest_side.records_in.fetch_add(1, std::memory_order_relaxed);
 
@@ -304,8 +313,14 @@ EngineStats MonitorEngine::stats() const {
     // these as independently-racy snapshot values with no cross-counter
     // consistency guarantee, so no acquire edge would buy the reader
     // anything.
-    s.records_in = shard->ingest_side.records_in.load(std::memory_order_relaxed);
-    s.records_out = shard->records_out.load(std::memory_order_relaxed);  // order: see above
+    // A host-filtered record was routed to the shard and handled there.
+    const std::uint64_t filtered =
+        shard->ingest_side.filtered.load(std::memory_order_relaxed);  // order: see above
+    s.records_in =
+        shard->ingest_side.records_in.load(std::memory_order_relaxed) +  // order: see above
+        filtered;
+    s.records_out =
+        shard->records_out.load(std::memory_order_relaxed) + filtered;  // order: see above
     s.dropped = shard->ingest_side.dropped.load(std::memory_order_relaxed);  // order: see above
     s.sessions_reported =
         shard->sessions_reported.load(std::memory_order_relaxed);  // order: see above

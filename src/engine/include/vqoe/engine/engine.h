@@ -10,6 +10,11 @@
 //     subscriber's records stay in arrival order on one shard while shards
 //     run independently — the per-subscriber ordering invariant the
 //     monitor requires is preserved by construction;
+//   * the router applies the monitor's host filter (Section 5.2 step 1,
+//     ReconstructionOptions::is_service) to the record view before it is
+//     copied into a queue: a record on no service host is counted as
+//     handled on its shard and goes no further, so non-video traffic costs
+//     a hash and a suffix test, not a copy, a queue slot and a worker pass;
 //   * each shard owns a bounded SPSC ring (spsc_queue.h) fed by the ingest
 //     thread and drained by a dedicated worker into the shard's
 //     OnlineMonitor; completed sessions — and, with windowing enabled
@@ -86,8 +91,13 @@ struct EngineConfig {
 /// Per-shard counters. Snapshot values; the engine keeps running while you
 /// read them.
 struct ShardStats {
-  std::uint64_t records_in = 0;       ///< routed to this shard (incl. dropped)
-  std::uint64_t records_out = 0;      ///< ingested by the shard's monitor
+  /// Routed to this shard, including dropped and host-filtered records.
+  std::uint64_t records_in = 0;
+  /// Handled: ingested by the shard's monitor, or dropped by the router's
+  /// host filter (a record on no service host, which the monitor would
+  /// drop on its first line). records_in == records_out + dropped once the
+  /// queue is drained.
+  std::uint64_t records_out = 0;
   std::uint64_t dropped = 0;          ///< shed under DropNewest
   std::uint64_t sessions_reported = 0;
   std::uint64_t sessions_discarded = 0;
@@ -183,8 +193,11 @@ class MonitorEngine {
   bool ingest(const trace::WeblogRecord& record);
 
   /// Routes one record to its subscriber's shard. Records must arrive in
-  /// non-decreasing timestamp order. Returns false when the record was
-  /// shed (DropNewest with a full queue) or the engine is already drained.
+  /// non-decreasing timestamp order. A record on no service host
+  /// (config.monitor.reconstruction.is_service) still advances the
+  /// watermark clock, then is counted as handled on its shard and never
+  /// queued. Returns false when the record was shed (DropNewest with a
+  /// full queue) or the engine is already drained.
   /// The view (typically pointing into a collector socket buffer) is
   /// materialized directly into the shard's ring slot — assignment into
   /// the resident record recycles the slot's string capacity, so a
@@ -282,9 +295,12 @@ class MonitorEngine {
     /// per-record counters and publish() mirrors below start on the next
     /// line and never invalidate this one under the collector.
     struct alignas(kCacheLineBytes) IngestCounters {
-      std::atomic<std::uint64_t> records_in{0};
+      std::atomic<std::uint64_t> records_in{0};  ///< queued or shed
       std::atomic<std::uint64_t> dropped{0};
       std::atomic<std::size_t> queue_peak{0};
+      /// Handled by the router's host filter; stats() adds them to both
+      /// records_in and records_out.
+      std::atomic<std::uint64_t> filtered{0};
     };
     static_assert(alignof(IngestCounters) == kCacheLineBytes);
     static_assert(sizeof(IngestCounters) == kCacheLineBytes);

@@ -1,6 +1,7 @@
 #include "vqoe/lifecycle/drift.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace vqoe::lifecycle {
 
@@ -45,7 +46,7 @@ DriftMonitor::DriftMonitor(const DriftConfig& config, std::uint64_t salt)
     : config_(config), salt_(salt) {
   if (!config_.enabled) return;
   for (std::size_t m = 0; m < kDriftMetrics; ++m) {
-    reference_values_[m].reserve(config_.reference_sessions);
+    reference_[m].reserve(config_.reference_sessions);
     current_[m] = ts::Reservoir(config_.reservoir_size,
                                 config_.seed ^ salt_ ^ (m * 0x9e3779b9ull));
   }
@@ -57,9 +58,9 @@ void DriftMonitor::reset() {
   reference_ready_ = false;
   cached_distance_ = 0.0;
   cached_per_metric_.fill(0.0);
+  stale_.fill(false);
   for (std::size_t m = 0; m < kDriftMetrics; ++m) {
-    reference_values_[m].clear();
-    reference_[m] = ts::Ecdf{};
+    reference_[m].clear();
     current_[m].reset(config_.seed ^ salt_ ^ (m * 0x9e3779b9ull));
   }
 }
@@ -67,25 +68,29 @@ void DriftMonitor::reset() {
 void DriftMonitor::observe(std::span<const core::ChunkObs> chunks) {
   if (!config_.enabled || chunks.empty()) return;
   const std::array<double, kDriftMetrics> means = session_means(chunks);
+  if (!std::all_of(means.begin(), means.end(),
+                   [](double mean) { return std::isfinite(mean); })) {
+    return;
+  }
   ++observed_;
   if (!reference_ready_) {
     for (std::size_t m = 0; m < kDriftMetrics; ++m) {
-      reference_values_[m].push_back(means[m]);
+      reference_[m].push_back(means[m]);
     }
     if (observed_ >= config_.reference_sessions) {
-      for (std::size_t m = 0; m < kDriftMetrics; ++m) {
-        reference_[m] = ts::Ecdf{reference_values_[m]};
-        reference_values_[m].clear();
-        reference_values_[m].shrink_to_fit();
+      for (std::vector<double>& reference : reference_) {
+        std::sort(reference.begin(), reference.end());
       }
       reference_ready_ = true;
     }
     return;
   }
-  for (std::size_t m = 0; m < kDriftMetrics; ++m) current_[m].add(means[m]);
-  // Refresh on a counter, not per session: building 10 small ECDFs is
-  // cheap, but session closes can burst and distance() is read after every
-  // engine item — cache plus cadence keeps both sides O(1) amortized.
+  for (std::size_t m = 0; m < kDriftMetrics; ++m) {
+    if (current_[m].add(means[m])) stale_[m] = true;
+  }
+  // Refresh on a counter, not per session: session closes can burst and
+  // distance() is read after every engine item — cache plus cadence keeps
+  // both sides O(1) amortized.
   if (config_.recompute_every <= 1 ||
       observed_ % config_.recompute_every == 0) {
     recompute();
@@ -96,9 +101,15 @@ void DriftMonitor::recompute() {
   if (current_[0].seen() < config_.min_current) return;
   double worst = 0.0;
   for (std::size_t m = 0; m < kDriftMetrics; ++m) {
-    const double d = ts::ks_distance(reference_[m], current_[m].ecdf());
-    cached_per_metric_[m] = d;
-    worst = std::max(worst, d);
+    // The distance depends only on the two samples' multisets, and the
+    // reference is frozen: a metric whose reservoir admitted nothing since
+    // its last walk keeps its cached distance.
+    if (stale_[m]) {
+      cached_per_metric_[m] =
+          ts::ks_distance(reference_[m], current_[m].sorted());
+      stale_[m] = false;
+    }
+    worst = std::max(worst, cached_per_metric_[m]);
   }
   cached_distance_ = worst;
 }

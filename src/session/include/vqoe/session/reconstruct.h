@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "vqoe/trace/weblog.h"
@@ -48,7 +49,10 @@ struct ReconstructionOptions {
 
   [[nodiscard]] bool is_cdn(const std::string& host) const;
   [[nodiscard]] bool is_page_marker(const std::string& host) const;
-  [[nodiscard]] bool is_service(const std::string& host) const;
+  /// Step 1's filter: a record on no service host is not the monitor's.
+  /// The engine's router asks it of the wire view before copying the
+  /// record into a shard queue; the monitor asks it again on ingest.
+  [[nodiscard]] bool is_service(std::string_view host) const;
 };
 
 /// One recovered session: boundaries plus the media records inside them.

@@ -8,7 +8,7 @@ namespace vqoe::session {
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
+bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
@@ -29,7 +29,7 @@ bool ReconstructionOptions::is_page_marker(const std::string& host) const {
   return false;
 }
 
-bool ReconstructionOptions::is_service(const std::string& host) const {
+bool ReconstructionOptions::is_service(std::string_view host) const {
   for (const std::string& suffix : service_suffixes) {
     if (ends_with(host, suffix)) return true;
   }

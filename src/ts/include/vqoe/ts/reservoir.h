@@ -7,6 +7,11 @@
 // that: after `seen()` insertions every value had probability
 // capacity/seen of being in the sample, in O(capacity) memory.
 //
+// The reservoir also keeps its sample sorted as it goes: an admission
+// erases the replaced value from the sorted view and inserts the new one,
+// both found by binary search. Two moves of at most `capacity` doubles per
+// admission replace a copy-and-sort of the whole sample per KS comparison.
+//
 // Determinism: the replacement decisions come from an embedded splitmix64
 // counter stream seeded at construction — no std::random_device, no global
 // RNG state — so two reservoirs with the same seed fed the same values hold
@@ -36,8 +41,11 @@ class Reservoir {
 
   /// Offers one value. The first `capacity` values are admitted verbatim;
   /// afterwards value i (0-based) replaces a uniformly random slot with
-  /// probability capacity/(i+1).
-  void add(double value);
+  /// probability capacity/(i+1). Returns whether the value was admitted;
+  /// when it was not, the sample is unchanged. A NaN is ignored, neither
+  /// counted nor admitted: the sorted view orders by `<`, which NaN does
+  /// not take part in.
+  bool add(double value);
 
   /// Values offered so far (admitted or not).
   [[nodiscard]] std::uint64_t seen() const { return seen_; }
@@ -50,6 +58,9 @@ class Reservoir {
   /// replacement starts).
   [[nodiscard]] std::span<const double> sample() const { return slots_; }
 
+  /// The current sample in ascending order, kept up to date by add().
+  [[nodiscard]] std::span<const double> sorted() const { return sorted_; }
+
   /// Builds the ECDF of the current sample.
   [[nodiscard]] Ecdf ecdf() const { return Ecdf{sample()}; }
 
@@ -58,14 +69,20 @@ class Reservoir {
 
  private:
   std::vector<double> slots_;
+  std::vector<double> sorted_;  ///< slots_ in ascending order
   std::size_t capacity_ = 0;
   std::uint64_t seen_ = 0;
   std::uint64_t state_ = 0;  ///< splitmix64 counter
 };
 
-/// Kolmogorov–Smirnov distance between two ECDFs: sup_x |F_a(x) - F_b(x)|,
-/// evaluated exactly by walking both sorted samples. Returns 0 when either
-/// sample is empty (no evidence of divergence).
+/// Kolmogorov–Smirnov distance between two ascending samples:
+/// sup_x |F_a(x) - F_b(x)|, evaluated exactly by walking both. Returns 0
+/// when either sample is empty (no evidence of divergence). Terminates on
+/// any input; with a NaN in either sample the result is meaningless.
+[[nodiscard]] double ks_distance(std::span<const double> sa,
+                                 std::span<const double> sb);
+
+/// ks_distance over the two ECDFs' sorted samples.
 [[nodiscard]] double ks_distance(const Ecdf& a, const Ecdf& b);
 
 }  // namespace vqoe::ts

@@ -1,17 +1,21 @@
 // MonitorEngine invariants.
 //
-// The core one (ISSUE acceptance): with the lossless Block policy the
-// engine is *deterministically equivalent* to a sequential OnlineMonitor —
-// same records in, same multiset of CompletedSession reports out, for any
-// shard count and for every ServiceTraits profile. Plus: the watermark
-// clock closes sessions on idle shards mid-stream, and DropNewest sheds
-// records while keeping counters consistent and reports well-formed.
+// The core one: with the lossless Block policy the engine is
+// *deterministically equivalent* to a sequential OnlineMonitor — same
+// records in, same multiset of CompletedSession reports out, for any shard
+// count and for every ServiceTraits profile. Plus: the watermark clock
+// closes sessions on idle shards mid-stream, DropNewest sheds records while
+// keeping counters consistent and reports well-formed, and the router
+// handles records on no service host itself — same verdicts, balanced
+// books, nothing queued.
 #include "vqoe/engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -279,6 +283,211 @@ TEST_F(MonitorEngineTest, IngestAfterDrainIsRejected) {
   (void)engine.drain();
   EXPECT_FALSE(engine.ingest(media_record("sub-a", 2.0)));
   EXPECT_TRUE(engine.drain().empty());  // idempotent
+}
+
+/// A record on a host no service filter matches: the non-video traffic an
+/// operator proxy logs next to the video.
+trace::WeblogRecord background_record(const std::string& subscriber,
+                                      double t_s, std::size_t k) {
+  static const char* const kHosts[] = {"api.weather.example.net",
+                                       "cdn.news.example.org",
+                                       "img.social.example.com"};
+  trace::WeblogRecord r;
+  r.subscriber_id = subscriber;
+  r.timestamp_s = t_s;
+  r.transaction_time_s = 0.05;
+  r.object_size_bytes = 20'000 + 1'000 * (k % 7);
+  r.host = kHosts[k % std::size(kHosts)];
+  r.kind = trace::RecordKind::page_object;
+  r.encrypted = true;
+  return r;
+}
+
+/// Three background records on the video's subscribers and clock after
+/// every video record: a quarter of the feed is the service's.
+std::vector<trace::WeblogRecord> with_background(
+    const std::vector<trace::WeblogRecord>& video) {
+  std::vector<trace::WeblogRecord> feed;
+  feed.reserve(4 * video.size());
+  for (std::size_t i = 0; i < video.size(); ++i) {
+    feed.push_back(video[i]);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::size_t other = (i + 5 * k + 1) % video.size();
+      feed.push_back(background_record(video[other].subscriber_id,
+                                       video[i].timestamp_s, i + k));
+    }
+  }
+  return feed;
+}
+
+/// Everything externally observable about a window verdict, doubles as
+/// raw bits.
+using VerdictKey =
+    std::tuple<std::string, std::uint64_t, std::uint64_t, std::uint64_t,
+               std::uint32_t, bool, int, int, bool, std::uint64_t,
+               std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+std::vector<VerdictKey> sorted_verdict_keys(
+    const std::vector<window::WindowVerdict>& all) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<VerdictKey> keys;
+  keys.reserve(all.size());
+  for (const auto& v : all) {
+    keys.emplace_back(v.subscriber_id, v.window_index, bits(v.start_s),
+                      bits(v.end_s), v.chunk_count, v.final_window,
+                      static_cast<int>(v.stall),
+                      static_cast<int>(v.representation), v.quality_switches,
+                      bits(v.switch_score), bits(v.stall_confidence),
+                      bits(v.repr_confidence), bits(v.window_cusum),
+                      bits(v.mean_goodput_kbps));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST_F(MonitorEngineTest, MixedFeedMatchesSequentialMonitorOnBalancedBooks) {
+  auto live_options = workload::encrypted_corpus_options(24, 1955);
+  live_options.subscribers = 12;
+  live_options.keep_session_results = false;
+  const auto feed = with_background(
+      trace::encrypt_view(workload::generate_corpus(live_options).weblogs));
+
+  OnlineMonitorConfig monitor_config;
+  monitor_config.window.length_s = 10.0;
+  constexpr double kWatermarkS = 5.0;
+
+  // Sequential reference on the whole feed, ticking with the engine's
+  // cadence: every record's timestamp, background ones included, moves the
+  // clock. The monitor drops the background records itself.
+  OnlineMonitor sequential{*pipeline_, monitor_config};
+  std::vector<CompletedSession> expected;
+  const auto keep = [&expected](std::vector<CompletedSession> done) {
+    expected.insert(expected.end(), std::make_move_iterator(done.begin()),
+                    std::make_move_iterator(done.end()));
+  };
+  std::size_t service_records = 0;
+  std::size_t ticks = 0;
+  double last_tick_s = feed.front().timestamp_s;
+  for (const auto& record : feed) {
+    if (record.timestamp_s - last_tick_s >= kWatermarkS) {
+      last_tick_s = record.timestamp_s;
+      ++ticks;
+      keep(sequential.advance_to(record.timestamp_s));
+    }
+    if (monitor_config.reconstruction.is_service(record.host)) {
+      ++service_records;
+    }
+    keep(sequential.ingest(record));
+  }
+  keep(sequential.flush());
+  const auto expected_sessions = sorted_keys(expected);
+  const auto expected_verdicts = sorted_verdict_keys(sequential.take_verdicts());
+  ASSERT_FALSE(expected_sessions.empty());
+  ASSERT_FALSE(expected_verdicts.empty());
+  ASSERT_EQ(4 * service_records, feed.size());
+
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::Block, BackpressurePolicy::DropNewest}) {
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(policy == BackpressurePolicy::Block
+                                   ? "Block"
+                                   : "DropNewest") +
+                   " shards=" + std::to_string(shards));
+      EngineConfig config;
+      config.shards = shards;
+      config.watermark_interval_s = kWatermarkS;
+      config.monitor = monitor_config;
+      config.backpressure = policy;
+      // DropNewest sheds only from a full queue: room for every service
+      // record and tick keeps the run lossless whatever the scheduling,
+      // because background records never enter a queue.
+      config.queue_capacity = policy == BackpressurePolicy::Block
+                                  ? 256
+                                  : std::bit_ceil(service_records + ticks + 1);
+      MonitorEngine engine{pipeline_, config};
+      std::vector<CompletedSession> sessions;
+      std::vector<window::WindowVerdict> verdicts;
+      std::size_t fed = 0;
+      for (const auto& record : feed) {
+        ASSERT_TRUE(engine.ingest(record));
+        if (++fed % 2048 == 0) {
+          auto got = engine.harvest_verdicts();
+          verdicts.insert(verdicts.end(), got.begin(), got.end());
+        }
+      }
+      auto done = engine.drain();
+      sessions.insert(sessions.end(), done.begin(), done.end());
+      auto got = engine.harvest_verdicts();
+      verdicts.insert(verdicts.end(), got.begin(), got.end());
+
+      EXPECT_EQ(sorted_keys(sessions), expected_sessions);
+      EXPECT_EQ(sorted_verdict_keys(verdicts), expected_verdicts);
+      const EngineStats stats = engine.stats();
+      EXPECT_EQ(stats.records_in, feed.size());
+      EXPECT_EQ(stats.dropped, 0u);
+      for (const ShardStats& shard : stats.shards) {
+        EXPECT_EQ(shard.records_in, shard.records_out + shard.dropped);
+      }
+    }
+  }
+}
+
+TEST_F(MonitorEngineTest, DropNewestNeverShedsBackgroundRecords) {
+  auto live_options = workload::encrypted_corpus_options(24, 1957);
+  live_options.subscribers = 8;
+  live_options.keep_session_results = false;
+  const auto feed = with_background(
+      trace::encrypt_view(workload::generate_corpus(live_options).weblogs));
+
+  EngineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 2;  // force overflow
+  config.backpressure = BackpressurePolicy::DropNewest;
+  MonitorEngine engine{pipeline_, config};
+  std::uint64_t rejected = 0;
+  for (const auto& record : feed) {
+    const bool service = config.monitor.reconstruction.is_service(record.host);
+    const bool accepted = engine.ingest(record);
+    if (!service) {
+      // The router handles a background record without touching a queue.
+      ASSERT_TRUE(accepted);
+    }
+    if (!accepted) ++rejected;
+  }
+  (void)engine.drain();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.dropped, rejected);
+  EXPECT_EQ(stats.records_in, feed.size());
+  for (const ShardStats& shard : stats.shards) {
+    EXPECT_EQ(shard.records_in, shard.records_out + shard.dropped);
+  }
+}
+
+TEST_F(MonitorEngineTest, BackgroundOnlyFeedNeverReachesTheQueues) {
+  std::vector<trace::WeblogRecord> feed;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    feed.push_back(background_record("sub-" + std::to_string(i % 16),
+                                     0.25 * static_cast<double>(i), i));
+  }
+  for (const std::size_t shards : {1u, 4u}) {
+    EngineConfig config;
+    config.shards = shards;
+    MonitorEngine engine{pipeline_, config};
+    for (const auto& record : feed) ASSERT_TRUE(engine.ingest(record));
+    EXPECT_TRUE(engine.drain().empty());
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.records_in, feed.size());
+    EXPECT_EQ(stats.records_out, feed.size());
+    EXPECT_EQ(stats.dropped, 0u);
+    for (const ShardStats& shard : stats.shards) {
+      // The watermark ticks still reach every shard, but no record does:
+      // the workers never time a monitor call, and the queues never held
+      // a record.
+      EXPECT_EQ(shard.ingest_ns, 0u) << "shards=" << shards;
+      EXPECT_EQ(shard.queue_peak, 0u) << "shards=" << shards;
+      EXPECT_EQ(shard.records_in, shard.records_out);
+    }
+  }
 }
 
 TEST_F(MonitorEngineTest, PerShardIngestTimeIsAccounted) {

@@ -1,12 +1,18 @@
 // Deterministic reservoir sampling (Vitter's Algorithm R with an inline
-// splitmix64 stream) and the KS distance between ECDF snapshots — the
-// primitives lifecycle::DriftMonitor is built on.
+// splitmix64 stream), its sorted view, and the KS distance between sorted
+// samples — the primitives lifecycle::DriftMonitor is built on.
 #include "vqoe/ts/reservoir.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "vqoe/ts/ecdf.h"
@@ -146,6 +152,106 @@ TEST(KsDistanceTest, KnownTwoSampleValue) {
   std::vector<double> a{1.0, 2.0};
   std::vector<double> b{2.0, 3.0};
   EXPECT_DOUBLE_EQ(ks_distance(Ecdf{a}, Ecdf{b}), 0.5);
+}
+
+/// A deterministic stream drawn from a few distinct values, signed zeros
+/// included, so the sample is full of ties.
+double quantised(std::uint64_t i) {
+  static constexpr double kValues[] = {-0.0, 0.0, 1.0, -2.5, 1.0, 3.0, 0.0};
+  const std::uint64_t mixed = (i * 0x9e3779b97f4a7c15ull) >> 40;
+  return kValues[mixed % std::size(kValues)] * static_cast<double>(1 + i % 3);
+}
+
+std::vector<std::uint64_t> bits_sorted(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ReservoirTest, SortedViewIsTheSortedSampleAfterEveryAdd) {
+  for (const std::size_t capacity : {1u, 7u, 256u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    Reservoir r{capacity, 0x5eed + capacity};
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      const std::vector<double> before(r.sample().begin(), r.sample().end());
+      const bool admitted = r.add(quantised(i));
+      const std::vector<double> after(r.sample().begin(), r.sample().end());
+      // What DriftMonitor relies on to skip a walk: a value not admitted
+      // leaves the sample as it was.
+      if (!admitted) {
+        ASSERT_EQ(bits_sorted(before), bits_sorted(after)) << "add " << i;
+      }
+      std::vector<double> expected = after;
+      std::sort(expected.begin(), expected.end());
+      const auto sorted = r.sorted();
+      ASSERT_TRUE(std::equal(sorted.begin(), sorted.end(), expected.begin(),
+                             expected.end()))
+          << "after add " << i;
+      // A permutation of the sample bit for bit: -0.0 and +0.0 compare
+      // equal, so the comparison above cannot tell them apart.
+      ASSERT_EQ(bits_sorted(sorted), bits_sorted(after)) << "after add " << i;
+    }
+  }
+}
+
+TEST(ReservoirTest, NaNIsIgnored) {
+  Reservoir r{4, 11};
+  EXPECT_TRUE(r.add(1.0));
+  EXPECT_FALSE(r.add(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(r.seen(), 1u);
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.sorted().front(), 1.0);
+}
+
+/// sup_x |F_a(x) - F_b(x)| by evaluating both ECDFs at every sample point
+/// of either side: the textbook definition, no merge walk.
+double ks_by_evaluation(const Ecdf& a, const Ecdf& b) {
+  if (a.empty() || b.empty()) return 0.0;
+  double d = 0.0;
+  for (const Ecdf* side : {&a, &b}) {
+    for (const double x : side->sorted_sample()) {
+      d = std::max(d, std::abs(a(x) - b(x)));
+    }
+  }
+  return d;
+}
+
+TEST(KsDistanceTest, SortedViewWalkMatchesEcdfFormAndEvaluation) {
+  for (const std::size_t capacity : {1u, 7u, 256u}) {
+    Reservoir a{capacity, 21};
+    Reservoir b{capacity, 22};
+    for (std::uint64_t i = 0; i < 1500; ++i) {
+      a.add(quantised(i));
+      b.add(quantised(i * 3 + 1) + (i % 2 == 0 ? 0.5 : 0.0));
+      if (i % 37 != 0) continue;
+      const double walked = ks_distance(a.sorted(), b.sorted());
+      const Ecdf ea{a.sample()};
+      const Ecdf eb{b.sample()};
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(walked),
+                std::bit_cast<std::uint64_t>(ks_distance(ea, eb)))
+          << "capacity " << capacity << " add " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(walked),
+                std::bit_cast<std::uint64_t>(ks_by_evaluation(ea, eb)))
+          << "capacity " << capacity << " add " << i;
+    }
+  }
+}
+
+TEST(KsDistanceTest, NaNInputTerminates) {
+  // Meaningless, but it must come back: a NaN head once stopped the merge
+  // walk from advancing either side.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> samples = {
+      {nan, 1.0, 2.0}, {1.0, 2.0, 3.0}, {1.0, nan, 2.0}, {1.0, 2.0, nan},
+      {nan}, {nan, nan}};
+  for (const auto& a : samples) {
+    for (const auto& b : samples) {
+      const double d = ks_distance(a, b);
+      EXPECT_GE(d, 0.0);
+      EXPECT_LE(d, 1.0);
+    }
+  }
 }
 
 }  // namespace
