@@ -98,8 +98,10 @@ bool MonitorEngine::ingest(const trace::WeblogRecordView& view) {
     note_queue_depth(shard);
     return true;
   }
-  // order: relaxed — shed counter; stats() reads are advisory snapshots
-  shard.ingest_side.dropped.fetch_add(1, std::memory_order_relaxed);
+  // order: release — pairs with stats()' acquire load of `dropped`, so a
+  // snapshot that counts this shed record also sees its records_in
+  // increment above
+  shard.ingest_side.dropped.fetch_add(1, std::memory_order_release);
   return false;
 }
 
@@ -168,49 +170,31 @@ void MonitorEngine::deliver_pending_swap() {
 
 void MonitorEngine::publish(Shard& shard,
                             std::vector<core::CompletedSession>&& done,
-                            bool lifecycle_dirty) {
+                            std::uint64_t records, std::uint64_t monitor_ns) {
   auto verdicts = shard.monitor.take_verdicts();
-  const bool scored = !done.empty() || !verdicts.empty();
-  if (scored) {
-    const core::MutexLock lock(shard.out_mutex);
-    shard.out.insert(shard.out.end(), std::make_move_iterator(done.begin()),
-                     std::make_move_iterator(done.end()));
-    shard.out_verdicts.insert(shard.out_verdicts.end(),
-                              std::make_move_iterator(verdicts.begin()),
-                              std::make_move_iterator(verdicts.end()));
-  }
-  // order: relaxed for every mirror below, for the same reason — each
-  // atomic is an independent snapshot of a monitor counter the worker
-  // alone advances. stats() reads them individually and promises no
-  // cross-counter consistency, so there is nothing stronger to protect.
-  shard.sessions_reported.store(shard.monitor.sessions_reported(),
-                                std::memory_order_relaxed);  // order: see above
-  shard.sessions_discarded.store(shard.monitor.sessions_discarded(),
-                                 std::memory_order_relaxed);  // order: see above
-  shard.sessions_evicted.store(shard.monitor.sessions_evicted(),
-                               std::memory_order_relaxed);  // order: see above
-  shard.windows_emitted.store(shard.monitor.windows_closed(),
-                              std::memory_order_relaxed);  // order: see above
-  shard.verdicts_emitted.store(shard.monitor.verdicts_emitted(),
-                               std::memory_order_relaxed);  // order: see above
-  shard.live_sessions.store(shard.monitor.open_sessions(),
-                            std::memory_order_relaxed);  // order: see above
-  shard.arena_bytes_in_use.store(shard.monitor.arena().bytes_in_use(),
-                                 std::memory_order_relaxed);  // order: see above
-  shard.arena_high_water.store(shard.monitor.arena().high_water(),
-                               std::memory_order_relaxed);  // order: see above
-  shard.model_generation.store(shard.monitor.model_generation(),
-                               std::memory_order_relaxed);  // order: see above
-  // The lifecycle counters only move when something was scored (or a swap
-  // reset them) — skip the mirror on the per-record fast path otherwise.
-  if (shard.lifecycle != nullptr && (scored || lifecycle_dirty)) {
-    shard.drift_distance.store(shard.lifecycle->drift().distance(),
-                               std::memory_order_relaxed);  // order: see above
-    const lifecycle::ShadowStats& shadow = shard.lifecycle->shadow().stats();
-    // order: relaxed — same independent stat-mirror contract as above
-    shard.shadow_scored.store(shadow.scored(), std::memory_order_relaxed);
-    shard.shadow_disagreements.store(shadow.disagreements,
-                                     std::memory_order_relaxed);  // order: see above
+  const core::OnlineMonitor& monitor = shard.monitor;
+  const core::MutexLock lock(shard.out_mutex);
+  shard.out.insert(shard.out.end(), std::make_move_iterator(done.begin()),
+                   std::make_move_iterator(done.end()));
+  shard.out_verdicts.insert(shard.out_verdicts.end(),
+                            std::make_move_iterator(verdicts.begin()),
+                            std::make_move_iterator(verdicts.end()));
+  ShardStats& p = shard.published;
+  p.records_out += records;
+  p.ingest_ns += monitor_ns;
+  p.sessions_reported = monitor.sessions_reported();
+  p.sessions_discarded = monitor.sessions_discarded();
+  p.sessions_evicted = monitor.sessions_evicted();
+  p.windows_emitted = monitor.windows_closed();
+  p.verdicts_emitted = monitor.verdicts_emitted();
+  p.live_sessions = monitor.open_sessions();
+  p.arena_bytes_in_use = monitor.arena().bytes_in_use();
+  p.arena_high_water = monitor.arena().high_water();
+  p.model_generation = monitor.model_generation();
+  if (shard.lifecycle != nullptr) {
+    p.drift_distance = shard.lifecycle->drift().distance();
+    p.shadow_scored = shard.lifecycle->shadow().stats().scored();
+    p.shadow_disagreements = shard.lifecycle->shadow().stats().disagreements;
   }
 }
 
@@ -228,16 +212,12 @@ void MonitorEngine::worker_loop(Shard& shard) {
       case Item::Kind::record: {
         const auto t0 = clock::now();
         auto done = shard.monitor.ingest(item.record);
-        const auto t1 = clock::now();
-        // order: relaxed — timing accumulator read only by stats()
-        shard.ingest_ns.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()),
-            std::memory_order_relaxed);
-        // order: relaxed — independent counter; no data published through it
-        shard.records_out.fetch_add(1, std::memory_order_relaxed);
-        publish(shard, std::move(done));
+        const auto monitor_ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                clock::now() - t0)
+                .count();
+        publish(shard, std::move(done), 1,
+                static_cast<std::uint64_t>(monitor_ns));
         break;
       }
       case Item::Kind::watermark:
@@ -249,10 +229,7 @@ void MonitorEngine::worker_loop(Shard& shard) {
         // monitor scores its pending windows with the outgoing model
         // first; publish() then moves those verdicts out.
         shard.monitor.swap_pipeline(std::move(item.model));
-        // order: relaxed — progress counter; readers take min over shards
-        // and tolerate observing shards at different generations
-        shard.swaps_applied.fetch_add(1, std::memory_order_relaxed);
-        publish(shard, {}, /*lifecycle_dirty=*/true);
+        publish(shard, {});
         break;
       case Item::Kind::stop:
         publish(shard, shard.monitor.flush());
@@ -309,71 +286,44 @@ EngineStats MonitorEngine::stats() const {
   total.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardStats s;
-    // order: relaxed throughout this snapshot loop — ShardStats documents
-    // these as independently-racy snapshot values with no cross-counter
-    // consistency guarantee, so no acquire edge would buy the reader
-    // anything.
+    {
+      const core::MutexLock lock(shard->out_mutex);
+      s = shard->published;
+    }
+    // Read order matters: the worker's copy first, the ingest side after.
+    // A record counted in records_out was popped after its records_in
+    // increment, and the lock orders this read after that pop, so the
+    // records_in load below sees the increment; the acquire on `dropped`
+    // does the same for a shed record. Reading the ingest side first
+    // could count a record out that it never counted in.
+    // order: acquire — pairs with ingest()'s release on a shed record
+    s.dropped = shard->ingest_side.dropped.load(std::memory_order_acquire);
     // A host-filtered record was routed to the shard and handled there.
+    // order: relaxed for the three loads below — the lock and the acquire
+    // above already order them after everything they must cover
     const std::uint64_t filtered =
         shard->ingest_side.filtered.load(std::memory_order_relaxed);  // order: see above
     s.records_in =
         shard->ingest_side.records_in.load(std::memory_order_relaxed) +  // order: see above
         filtered;
-    s.records_out =
-        shard->records_out.load(std::memory_order_relaxed) + filtered;  // order: see above
-    s.dropped = shard->ingest_side.dropped.load(std::memory_order_relaxed);  // order: see above
-    s.sessions_reported =
-        shard->sessions_reported.load(std::memory_order_relaxed);  // order: see above
-    s.sessions_discarded =
-        shard->sessions_discarded.load(std::memory_order_relaxed);  // order: see above
-    s.sessions_evicted =
-        shard->sessions_evicted.load(std::memory_order_relaxed);  // order: see above
-    s.windows_emitted =
-        shard->windows_emitted.load(std::memory_order_relaxed);  // order: see above
-    s.verdicts_emitted =
-        shard->verdicts_emitted.load(std::memory_order_relaxed);  // order: see above
-    s.live_sessions = shard->live_sessions.load(std::memory_order_relaxed);  // order: see above
-    s.arena_bytes_in_use =
-        shard->arena_bytes_in_use.load(std::memory_order_relaxed);  // order: see above
-    s.arena_high_water =
-        shard->arena_high_water.load(std::memory_order_relaxed);  // order: see above
-    s.ingest_ns = shard->ingest_ns.load(std::memory_order_relaxed);  // order: see above
-    s.queue_depth = shard->queue.size();
+    s.records_out += filtered;
     s.queue_peak = shard->ingest_side.queue_peak.load(std::memory_order_relaxed);  // order: see above
-    s.drift_distance =
-        shard->drift_distance.load(std::memory_order_relaxed);  // order: see above
-    s.shadow_scored = shard->shadow_scored.load(std::memory_order_relaxed);  // order: see above
-    s.shadow_disagreements =
-        shard->shadow_disagreements.load(std::memory_order_relaxed);  // order: see above
-    s.model_generation =
-        shard->model_generation.load(std::memory_order_relaxed);  // order: see above
-    s.swaps_applied = shard->swaps_applied.load(std::memory_order_relaxed);  // order: see above
-    total.records_in += s.records_in;
-    total.records_out += s.records_out;
-    total.dropped += s.dropped;
-    total.sessions_reported += s.sessions_reported;
-    total.sessions_discarded += s.sessions_discarded;
-    total.sessions_evicted += s.sessions_evicted;
-    total.windows_emitted += s.windows_emitted;
-    total.verdicts_emitted += s.verdicts_emitted;
-    total.live_sessions += s.live_sessions;
-    total.arena_bytes_in_use += s.arena_bytes_in_use;
-    total.arena_high_water += s.arena_high_water;
-    total.drift_distance = std::max(total.drift_distance, s.drift_distance);
-    total.shadow_scored += s.shadow_scored;
-    total.shadow_disagreements += s.shadow_disagreements;
-    // min over shards: the generation / swap count the *whole* engine has
-    // reached (a broadcast swap mid-flight shows the pre-swap value).
-    if (total.shards.empty()) {
-      total.model_generation = s.model_generation;
-      total.swaps_applied = s.swaps_applied;
-    } else {
-      total.model_generation = std::min(total.model_generation,
-                                        s.model_generation);
-      total.swaps_applied = std::min(total.swaps_applied, s.swaps_applied);
-    }
+    s.queue_depth = shard->queue.size();
     total.shards.push_back(s);
   }
+  for_each_counter([&total](std::string_view, auto ShardStats::*field,
+                            Merge merge) {
+    auto& folded = total.*field;
+    folded = total.shards.front().*field;
+    for (std::size_t i = 1; i < total.shards.size(); ++i) {
+      const auto v = total.shards[i].*field;
+      switch (merge) {
+        case Merge::sum: folded += v; break;
+        case Merge::max: folded = std::max(folded, v); break;
+        case Merge::min: folded = std::min(folded, v); break;
+      }
+    }
+  });
   if (total.shadow_scored != 0) {
     total.shadow_divergence = static_cast<double>(total.shadow_disagreements) /
                               static_cast<double>(total.shadow_scored);

@@ -45,6 +45,15 @@
 // each shard additionally carries a lifecycle::ShardLifecycle observer —
 // per-shard feature-drift distances and shadow-model divergence surfaced
 // through EngineStats without touching the verdict path.
+//
+// Counters (DESIGN.md §5b): every engine counter is a ShardStats field
+// with one for_each_counter row naming its cross-shard merge rule. The
+// ingest thread owns four of them (records_in, dropped, queue_peak and the
+// host-filter count) as atomics on their own cache line; the worker owns
+// the rest and publishes them as one plain ShardStats value under the lock
+// it already takes for the harvest buffers. stats() copies that value
+// under the lock and only then reads the ingest side, so every snapshot
+// has records_in >= records_out + dropped.
 #pragma once
 
 #include <atomic>
@@ -59,6 +68,7 @@
 #include "vqoe/core/thread_annotations.h"
 #include "vqoe/engine/spsc_queue.h"
 #include "vqoe/lifecycle/shard_lifecycle.h"
+#include "vqoe/trace/weblog.h"
 
 namespace vqoe::engine {
 
@@ -89,14 +99,16 @@ struct EngineConfig {
 };
 
 /// Per-shard counters. Snapshot values; the engine keeps running while you
-/// read them.
+/// read them. for_each_counter() below lists every field with its
+/// cross-shard merge rule.
 struct ShardStats {
   /// Routed to this shard, including dropped and host-filtered records.
   std::uint64_t records_in = 0;
   /// Handled: ingested by the shard's monitor, or dropped by the router's
   /// host filter (a record on no service host, which the monitor would
   /// drop on its first line). records_in == records_out + dropped once the
-  /// queue is drained.
+  /// queue is drained, and records_in >= records_out + dropped in every
+  /// snapshot.
   std::uint64_t records_out = 0;
   std::uint64_t dropped = 0;          ///< shed under DropNewest
   std::uint64_t sessions_reported = 0;
@@ -120,52 +132,61 @@ struct ShardStats {
   std::uint64_t shadow_scored = 0;         ///< sessions+windows shadow-scored
   std::uint64_t shadow_disagreements = 0;  ///< any-label divergences
   std::uint64_t model_generation = 0;  ///< swaps this shard has applied
-  std::uint64_t swaps_applied = 0;     ///< swap items processed (== generation)
 };
 
-/// Engine-wide snapshot: totals plus the per-shard breakdown.
-struct EngineStats {
-  std::uint64_t records_in = 0;
-  std::uint64_t records_out = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t sessions_reported = 0;
-  std::uint64_t sessions_discarded = 0;
-  std::uint64_t sessions_evicted = 0;
-  std::uint64_t windows_emitted = 0;
-  std::uint64_t verdicts_emitted = 0;
-  std::uint64_t live_sessions = 0;
-  std::uint64_t arena_bytes_in_use = 0;  ///< summed across shards
-  std::uint64_t arena_high_water = 0;    ///< summed per-shard peaks
-  /// Worst (max) per-shard drift distance: the operator's one-glance
-  /// "has traffic moved away from what the model was loaded against".
-  double drift_distance = 0.0;
+/// How a counter's engine total folds the per-shard values.
+enum class Merge : std::uint8_t { sum, max, min };
+
+/// The counter table: calls `f(name, &ShardStats::field, merge)` once per
+/// ShardStats field, in declaration order. It is the one list the engine
+/// total (MonitorEngine::stats()), the status JSON (status_json.h) and its
+/// tests walk; a new counter is a ShardStats field plus a row here.
+///   * sum — counts and occupancies; arena_high_water sums per-shard peaks.
+///   * max — queue_peak, and drift_distance: the operator's one-glance "has
+///     traffic moved away from what the model was loaded against".
+///   * min — model_generation: the generation the whole engine is
+///     guaranteed to have reached (a broadcast swap mid-flight shows the
+///     pre-swap value).
+template <typename F>
+constexpr void for_each_counter(F&& f) {
+  f("records_in", &ShardStats::records_in, Merge::sum);
+  f("records_out", &ShardStats::records_out, Merge::sum);
+  f("dropped", &ShardStats::dropped, Merge::sum);
+  f("sessions_reported", &ShardStats::sessions_reported, Merge::sum);
+  f("sessions_discarded", &ShardStats::sessions_discarded, Merge::sum);
+  f("sessions_evicted", &ShardStats::sessions_evicted, Merge::sum);
+  f("windows_emitted", &ShardStats::windows_emitted, Merge::sum);
+  f("verdicts_emitted", &ShardStats::verdicts_emitted, Merge::sum);
+  f("live_sessions", &ShardStats::live_sessions, Merge::sum);
+  f("arena_bytes_in_use", &ShardStats::arena_bytes_in_use, Merge::sum);
+  f("arena_high_water", &ShardStats::arena_high_water, Merge::sum);
+  f("ingest_ns", &ShardStats::ingest_ns, Merge::sum);
+  f("queue_depth", &ShardStats::queue_depth, Merge::sum);
+  f("queue_peak", &ShardStats::queue_peak, Merge::max);
+  f("drift_distance", &ShardStats::drift_distance, Merge::max);
+  f("shadow_scored", &ShardStats::shadow_scored, Merge::sum);
+  f("shadow_disagreements", &ShardStats::shadow_disagreements, Merge::sum);
+  f("model_generation", &ShardStats::model_generation, Merge::min);
+}
+
+/// Engine-wide snapshot: every counter folded over the shards by its
+/// for_each_counter rule, plus the per-shard breakdown.
+struct EngineStats : ShardStats {
   /// Shadow-vs-active divergence over all shards: summed disagreements /
   /// summed scored events, in [0, 1]. 0 when no shadow model is set.
   double shadow_divergence = 0.0;
-  std::uint64_t shadow_scored = 0;         ///< summed across shards
-  std::uint64_t shadow_disagreements = 0;  ///< summed across shards
-  /// Swaps every shard has fully applied (min over shards): the model
-  /// generation the whole engine is guaranteed to have reached.
-  std::uint64_t model_generation = 0;
-  /// Same min-over-shards count from the swap-item side; equals
-  /// model_generation once a broadcast swap has landed everywhere.
-  std::uint64_t swaps_applied = 0;
   std::vector<ShardStats> shards;
 };
 
-/// Stable hash partitioning of subscribers onto shards (FNV-1a, so the
-/// mapping does not depend on the standard library's std::hash).
+/// Stable hash partitioning of subscribers onto shards
+/// (trace::subscriber_bucket, so the mapping does not depend on the
+/// standard library's std::hash).
 class ShardRouter {
  public:
   explicit ShardRouter(std::size_t shards) : shards_(shards ? shards : 1) {}
 
   [[nodiscard]] std::size_t shard_of(std::string_view subscriber) const {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const unsigned char c : subscriber) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h % shards_);
+    return trace::subscriber_bucket(subscriber, shards_);
   }
 
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -238,6 +259,9 @@ class MonitorEngine {
   /// records afterwards.
   std::vector<core::CompletedSession> drain();
 
+  /// Counter snapshot; any thread, any time. Each shard's worker-owned
+  /// counters come from one instant, and every shard (so every total) has
+  /// records_in >= records_out + dropped.
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const ShardRouter& router() const { return router_; }
@@ -281,19 +305,24 @@ class MonitorEngine {
     std::unique_ptr<lifecycle::ShardLifecycle> lifecycle;
     core::OnlineMonitor monitor;  ///< touched by the worker thread only
 
-    /// Guards the harvest buffers: the shard worker appends under the
-    /// lock in publish(), harvest()/harvest_verdicts() drain under it from
-    /// any thread. Everything else in the Shard is either the worker's
-    /// alone (monitor), the ingest thread's alone (queue producer side),
-    /// or an atomic mirror — the lock covers exactly the two vectors.
+    /// Guards what the worker hands to other threads: publish() appends to
+    /// the harvest buffers and rewrites `published` under the lock after
+    /// every item; harvest()/harvest_verdicts() drain the buffers and
+    /// stats() copies `published` under it, from any thread. Everything
+    /// else in the Shard is the worker's alone (monitor, lifecycle), the
+    /// ingest thread's alone (queue producer side) or an IngestCounters
+    /// atomic.
     core::Mutex out_mutex;
     std::vector<core::CompletedSession> out VQOE_GUARDED_BY(out_mutex);
     std::vector<window::WindowVerdict> out_verdicts VQOE_GUARDED_BY(out_mutex);
+    /// The worker's counters as of its last publish(): records_out,
+    /// ingest_ns and the monitor and lifecycle fields, all from one
+    /// instant. The ingest-side fields stay 0 here; stats() fills them.
+    ShardStats published VQOE_GUARDED_BY(out_mutex);
 
     /// Written by the ingest thread for every record and never by the
-    /// worker, so they get a cache line of their own: the worker's
-    /// per-record counters and publish() mirrors below start on the next
-    /// line and never invalidate this one under the collector.
+    /// worker, so they get a cache line of their own that the worker's
+    /// publish() never invalidates under the collector.
     struct alignas(kCacheLineBytes) IngestCounters {
       std::atomic<std::uint64_t> records_in{0};  ///< queued or shed
       std::atomic<std::uint64_t> dropped{0};
@@ -306,35 +335,16 @@ class MonitorEngine {
     static_assert(sizeof(IngestCounters) == kCacheLineBytes);
     IngestCounters ingest_side;
 
-    /// Worker-written: counters and mirrors of the monitor, read by stats().
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> records_out{0};
-    std::atomic<std::uint64_t> sessions_reported{0};
-    std::atomic<std::uint64_t> sessions_discarded{0};
-    std::atomic<std::uint64_t> sessions_evicted{0};
-    std::atomic<std::uint64_t> windows_emitted{0};
-    std::atomic<std::uint64_t> verdicts_emitted{0};
-    std::atomic<std::uint64_t> live_sessions{0};
-    std::atomic<std::uint64_t> arena_bytes_in_use{0};
-    std::atomic<std::uint64_t> arena_high_water{0};
-    std::atomic<std::uint64_t> ingest_ns{0};
-    /// Lifecycle mirrors (worker-written, stats()-read). drift_distance is
-    /// an atomic<double> — lock-free on every target this builds for.
-    std::atomic<double> drift_distance{0.0};
-    std::atomic<std::uint64_t> shadow_scored{0};
-    std::atomic<std::uint64_t> shadow_disagreements{0};
-    std::atomic<std::uint64_t> model_generation{0};
-    std::atomic<std::uint64_t> swaps_applied{0};
-
     std::thread worker;
   };
 
   void worker_loop(Shard& shard);
-  /// Moves scored output into the shard's harvest buffers and mirrors the
-  /// monitor counters into the stats atomics. `lifecycle_dirty` forces the
-  /// lifecycle mirror even when nothing was scored (a swap resets the
-  /// drift/shadow counters without emitting anything).
+  /// Moves scored output into the shard's harvest buffers and rewrites
+  /// the shard's published counters, under one lock: `records` more
+  /// records handled in `monitor_ns` of monitor time (both 0 for control
+  /// items).
   void publish(Shard& shard, std::vector<core::CompletedSession>&& done,
-               bool lifecycle_dirty = false);
+               std::uint64_t records = 0, std::uint64_t monitor_ns = 0);
   static void push_blocking(Shard& shard, Item&& item);
   static void note_queue_depth(Shard& shard);
   void maybe_watermark(double now_s);

@@ -1,12 +1,14 @@
 // Machine-readable engine status.
 //
 // vqoe_collector --status-json prints one of these per status interval: a
-// single-line JSON object over the EngineStats totals plus the caller's
-// stream counters, meant for log scrapers and dashboards (one line = one
-// sample; no quoting or nesting surprises). Doubles are printed with
-// %.17g, so a parser reading them back recovers the exact values — the
-// contract the parse-back test in tests/lifecycle/status_json_test.cpp
-// holds this format to.
+// single-line JSON object over the caller's stream counters, every
+// EngineStats total in for_each_counter order (engine.h), the shard count
+// and the pooled shadow divergence — meant for log scrapers and dashboards
+// (one line = one sample; no quoting or nesting surprises). The counter
+// table is the schema: a counter added there appears here with no edit.
+// Doubles are printed with %.17g, so a parser reading them back recovers
+// the exact values — the contract the parse-back test in
+// tests/lifecycle/status_json_test.cpp holds this format to.
 #pragma once
 
 #include <cstdint>

@@ -2,26 +2,29 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
 namespace vqoe::engine {
 
 namespace {
 
-void append_u64(std::string& out, const char* key, std::uint64_t value,
-                bool first = false) {
+/// Appends `,"key":value` (no comma before the first field). Integers print
+/// exactly; doubles print with %.17g, which round-trips every finite double
+/// exactly (and JSON has no non-finite literals, so those degrade to 0 —
+/// the stats never produce them, but a formatter must not emit invalid
+/// JSON either way).
+template <typename T>
+void append(std::string& out, const char* key, T value) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, first ? "" : ",", key,
-                value);
-  out += buf;
-}
-
-void append_double(std::string& out, const char* key, double value) {
-  // %.17g round-trips every finite double exactly (and JSON has no
-  // non-finite literals, so those degrade to 0 — the stats never produce
-  // them, but a formatter must not emit invalid JSON either way).
-  char buf[96];
-  if (value != value || value - value != 0.0) value = 0.0;
-  std::snprintf(buf, sizeof(buf), ",\"%s\":%.17g", key, value);
+  const char* comma = out.size() > 1 ? "," : "";
+  if constexpr (std::is_floating_point_v<T>) {
+    double v = value;
+    if (v != v || v - v != 0.0) v = 0.0;
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.17g", comma, key, v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, comma, key,
+                  static_cast<std::uint64_t>(value));
+  }
   out += buf;
 }
 
@@ -29,28 +32,15 @@ void append_double(std::string& out, const char* key, double value) {
 
 std::string status_json(const EngineStats& stats, const StatusExtras& extras) {
   std::string out;
-  out.reserve(640);
+  out.reserve(768);
   out += '{';
-  append_u64(out, "records_merged", extras.records_merged, /*first=*/true);
-  append_double(out, "elapsed_s", extras.elapsed_s);
-  append_u64(out, "records_in", stats.records_in);
-  append_u64(out, "records_out", stats.records_out);
-  append_u64(out, "dropped", stats.dropped);
-  append_u64(out, "sessions_reported", stats.sessions_reported);
-  append_u64(out, "sessions_discarded", stats.sessions_discarded);
-  append_u64(out, "sessions_evicted", stats.sessions_evicted);
-  append_u64(out, "windows_emitted", stats.windows_emitted);
-  append_u64(out, "verdicts_emitted", stats.verdicts_emitted);
-  append_u64(out, "live_sessions", stats.live_sessions);
-  append_u64(out, "arena_bytes_in_use", stats.arena_bytes_in_use);
-  append_u64(out, "arena_high_water", stats.arena_high_water);
-  append_u64(out, "shards", static_cast<std::uint64_t>(stats.shards.size()));
-  append_double(out, "drift_distance", stats.drift_distance);
-  append_double(out, "shadow_divergence", stats.shadow_divergence);
-  append_u64(out, "shadow_scored", stats.shadow_scored);
-  append_u64(out, "shadow_disagreements", stats.shadow_disagreements);
-  append_u64(out, "model_generation", stats.model_generation);
-  append_u64(out, "swaps_applied", stats.swaps_applied);
+  append(out, "records_merged", extras.records_merged);
+  append(out, "elapsed_s", extras.elapsed_s);
+  for_each_counter([&](const char* name, auto ShardStats::*field, Merge) {
+    append(out, name, stats.*field);
+  });
+  append(out, "shards", stats.shards.size());
+  append(out, "shadow_divergence", stats.shadow_divergence);
   out += '}';
   return out;
 }

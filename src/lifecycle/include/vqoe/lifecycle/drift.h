@@ -73,7 +73,8 @@ struct DriftConfig {
 };
 
 /// Per-shard drift tracker. Single-threaded (lives on a monitor's scoring
-/// thread); the engine mirrors distance() into its stats atomics.
+/// thread); the engine copies distance() into the shard's published
+/// stats.
 class DriftMonitor {
  public:
   /// Disabled tracker: observe() is a no-op, distance() is 0.

@@ -14,9 +14,9 @@
 // meaningless).
 //
 // Thread model: all mutation happens on the shard worker; the engine
-// mirrors the scalar outputs (distance, counters) into its per-shard
-// atomics after every item that scored something (and after swaps, which
-// reset the counters), so stats() readers never touch this object.
+// copies the scalar outputs (distance, counters) into the shard's
+// published ShardStats after every item, under the lock stats() reads it
+// with, so stats() readers never touch this object.
 #pragma once
 
 #include <cstdint>

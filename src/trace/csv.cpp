@@ -1,8 +1,12 @@
 #include "vqoe/trace/csv.h"
 
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace vqoe::trace {
 
@@ -96,18 +100,86 @@ std::ifstream open_in(const std::filesystem::path& path) {
   return is;
 }
 
-constexpr int kWeblogFields = 19;
-constexpr int kTruthFields = 14;
+constexpr std::array<const char*, 19> kWeblogColumns = {
+    "subscriber",    "timestamp_s",   "transaction_time_s", "size_bytes",
+    "host",          "kind",          "encrypted",          "cached",
+    "rtt_min_ms",    "rtt_avg_ms",    "rtt_max_ms",         "bdp_bytes",
+    "bif_avg_bytes", "bif_max_bytes", "loss_pct",           "retrans_pct",
+    "session_id",    "itag_height",   "is_audio"};
+constexpr std::array<const char*, 14> kTruthColumns = {
+    "session_id",        "subscriber",     "start_time_s",
+    "total_duration_s",  "adaptive",       "abandoned",
+    "media_chunks",      "stall_count",    "stall_duration_s",
+    "rebuffering_ratio", "average_height", "switch_count",
+    "switch_amplitude",  "startup_delay_s"};
+
+template <std::size_t N>
+void put_header(std::ostream& os, const std::array<const char*, N>& columns) {
+  for (std::size_t i = 0; i < N; ++i) os << (i ? "," : "") << columns[i];
+  os << '\n';
+}
+
+/// One data row, read field by field. Every number is parsed whole with
+/// std::from_chars, the discipline of the tools' flag parsing: no blanks,
+/// no '+', no trailing bytes, no overflow, no sign on an unsigned field,
+/// and only finite doubles. An error names the file kind, the row (the
+/// header is row 1) and the column.
+template <std::size_t N>
+class Row {
+ public:
+  Row(const char* file_kind, std::size_t row,
+      const std::array<const char*, N>& columns,
+      const std::vector<std::string>& fields)
+      : file_kind_(file_kind), row_(row), columns_(columns), fields_(fields) {
+    if (fields.size() != N) {
+      throw std::runtime_error{std::string{"malformed "} + file_kind_ +
+                               " CSV row " + std::to_string(row_) +
+                               ": expected " + std::to_string(N) +
+                               " fields, got " + std::to_string(fields.size())};
+    }
+  }
+
+  template <typename T>
+  [[nodiscard]] T number(std::size_t i) const {
+    const std::string& field = fields_[i];
+    const char* end = field.data() + field.size();
+    T out{};
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    if (ec == std::errc::result_out_of_range) fail(i, "out of range");
+    if (ec != std::errc{} || ptr != end) fail(i, "not a number");
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(out)) fail(i, "not finite");
+    }
+    return out;
+  }
+
+  /// A 0/1 column.
+  [[nodiscard]] bool flag(std::size_t i) const {
+    const auto v = number<unsigned>(i);
+    if (v > 1) fail(i, "not 0 or 1");
+    return v == 1;
+  }
+
+  [[noreturn]] void fail(std::size_t i, const char* why) const {
+    throw std::runtime_error{std::string{file_kind_} + " CSV row " +
+                             std::to_string(row_) + ", column " +
+                             columns_[i] + ": " + why + ": '" + fields_[i] +
+                             "'"};
+  }
+
+ private:
+  const char* file_kind_;
+  std::size_t row_;
+  const std::array<const char*, N>& columns_;
+  const std::vector<std::string>& fields_;
+};
 
 }  // namespace
 
 void write_weblogs_csv(const std::filesystem::path& path,
                        const std::vector<WeblogRecord>& records) {
   auto os = open_out(path);
-  os << "subscriber,timestamp_s,transaction_time_s,size_bytes,host,kind,"
-        "encrypted,cached,rtt_min_ms,rtt_avg_ms,rtt_max_ms,bdp_bytes,"
-        "bif_avg_bytes,bif_max_bytes,loss_pct,retrans_pct,session_id,"
-        "itag_height,is_audio\n";
+  put_header(os, kWeblogColumns);
   for (const WeblogRecord& r : records) {
     put_field(os, r.subscriber_id);
     os << ',' << r.timestamp_s << ',' << r.transaction_time_s << ','
@@ -129,33 +201,33 @@ std::vector<WeblogRecord> read_weblogs_csv(const std::filesystem::path& path) {
   std::vector<std::string> f;
   read_row(is, f);  // header
   std::vector<WeblogRecord> out;
-  while (read_row(is, f)) {
+  for (std::size_t row_number = 2; read_row(is, f); ++row_number) {
     if (f.size() == 1 && f[0].empty()) continue;  // blank line
-    if (f.size() != kWeblogFields) {
-      throw std::runtime_error{"malformed weblog CSV row: expected " +
-                               std::to_string(kWeblogFields) +
-                               " fields, got " + std::to_string(f.size())};
-    }
+    const Row row{"weblog", row_number, kWeblogColumns, f};
     WeblogRecord r;
     r.subscriber_id = f[0];
-    r.timestamp_s = std::stod(f[1]);
-    r.transaction_time_s = std::stod(f[2]);
-    r.object_size_bytes = std::stoull(f[3]);
+    r.timestamp_s = row.number<double>(1);
+    r.transaction_time_s = row.number<double>(2);
+    r.object_size_bytes = row.number<std::uint64_t>(3);
     r.host = f[4];
-    r.kind = static_cast<RecordKind>(std::stoi(f[5]));
-    r.encrypted = f[6] == "1";
-    r.served_from_cache = f[7] == "1";
-    r.transport.rtt_min_ms = std::stod(f[8]);
-    r.transport.rtt_avg_ms = std::stod(f[9]);
-    r.transport.rtt_max_ms = std::stod(f[10]);
-    r.transport.bdp_bytes = std::stod(f[11]);
-    r.transport.bif_avg_bytes = std::stod(f[12]);
-    r.transport.bif_max_bytes = std::stod(f[13]);
-    r.transport.loss_pct = std::stod(f[14]);
-    r.transport.retrans_pct = std::stod(f[15]);
+    const auto kind = row.number<unsigned>(5);
+    if (kind > static_cast<unsigned>(RecordKind::playback_report)) {
+      row.fail(5, "unknown record kind");
+    }
+    r.kind = static_cast<RecordKind>(kind);
+    r.encrypted = row.flag(6);
+    r.served_from_cache = row.flag(7);
+    r.transport.rtt_min_ms = row.number<double>(8);
+    r.transport.rtt_avg_ms = row.number<double>(9);
+    r.transport.rtt_max_ms = row.number<double>(10);
+    r.transport.bdp_bytes = row.number<double>(11);
+    r.transport.bif_avg_bytes = row.number<double>(12);
+    r.transport.bif_max_bytes = row.number<double>(13);
+    r.transport.loss_pct = row.number<double>(14);
+    r.transport.retrans_pct = row.number<double>(15);
     r.session_id = f[16];
-    r.itag_height = std::stoi(f[17]);
-    r.is_audio = f[18] == "1";
+    r.itag_height = row.number<int>(17);
+    r.is_audio = row.flag(18);
     out.push_back(std::move(r));
   }
   return out;
@@ -164,10 +236,7 @@ std::vector<WeblogRecord> read_weblogs_csv(const std::filesystem::path& path) {
 void write_ground_truth_csv(const std::filesystem::path& path,
                             const std::vector<SessionGroundTruth>& truths) {
   auto os = open_out(path);
-  os << "session_id,subscriber,start_time_s,total_duration_s,adaptive,"
-        "abandoned,media_chunks,stall_count,stall_duration_s,"
-        "rebuffering_ratio,average_height,switch_count,switch_amplitude,"
-        "startup_delay_s\n";
+  put_header(os, kTruthColumns);
   for (const SessionGroundTruth& t : truths) {
     put_field(os, t.session_id);
     os << ',';
@@ -188,28 +257,24 @@ std::vector<SessionGroundTruth> read_ground_truth_csv(
   std::vector<std::string> f;
   read_row(is, f);  // header
   std::vector<SessionGroundTruth> out;
-  while (read_row(is, f)) {
+  for (std::size_t row_number = 2; read_row(is, f); ++row_number) {
     if (f.size() == 1 && f[0].empty()) continue;  // blank line
-    if (f.size() != kTruthFields) {
-      throw std::runtime_error{"malformed ground-truth CSV row: expected " +
-                               std::to_string(kTruthFields) +
-                               " fields, got " + std::to_string(f.size())};
-    }
+    const Row row{"ground-truth", row_number, kTruthColumns, f};
     SessionGroundTruth t;
     t.session_id = f[0];
     t.subscriber_id = f[1];
-    t.start_time_s = std::stod(f[2]);
-    t.total_duration_s = std::stod(f[3]);
-    t.adaptive = f[4] == "1";
-    t.abandoned = f[5] == "1";
-    t.media_chunk_count = std::stoull(f[6]);
-    t.stall_count = std::stoi(f[7]);
-    t.stall_duration_s = std::stod(f[8]);
-    t.rebuffering_ratio = std::stod(f[9]);
-    t.average_height = std::stod(f[10]);
-    t.switch_count = static_cast<std::size_t>(std::stoull(f[11]));
-    t.switch_amplitude = std::stod(f[12]);
-    t.startup_delay_s = std::stod(f[13]);
+    t.start_time_s = row.number<double>(2);
+    t.total_duration_s = row.number<double>(3);
+    t.adaptive = row.flag(4);
+    t.abandoned = row.flag(5);
+    t.media_chunk_count = row.number<std::size_t>(6);
+    t.stall_count = row.number<int>(7);
+    t.stall_duration_s = row.number<double>(8);
+    t.rebuffering_ratio = row.number<double>(9);
+    t.average_height = row.number<double>(10);
+    t.switch_count = row.number<std::size_t>(11);
+    t.switch_amplitude = row.number<double>(12);
+    t.startup_delay_s = row.number<double>(13);
     out.push_back(std::move(t));
   }
   return out;

@@ -134,6 +134,21 @@ struct WeblogRecordView {
   }
 };
 
+/// Stable partition of subscribers into `buckets` groups: 64-bit FNV-1a
+/// over the id's bytes, modulo the bucket count (0 is treated as 1). It
+/// does not depend on the standard library's std::hash, so a subscriber
+/// lands on the same probe (wire::probe_of_subscriber) and the same engine
+/// shard (engine::ShardRouter) in every build.
+[[nodiscard]] constexpr std::size_t subscriber_bucket(
+    std::string_view subscriber, std::size_t buckets) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char ch : subscriber) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return static_cast<std::size_t>(h % (buckets ? buckets : 1));
+}
+
 /// Per-session ground truth as the instrumented client of Section 5.1
 /// records it (and as URI metadata encodes it for cleartext sessions).
 struct SessionGroundTruth {

@@ -1,6 +1,5 @@
 #include "vqoe/window/verdict_log.h"
 
-#include <bit>
 #include <cstdint>
 
 #include "vqoe/wire/codec.h"
@@ -8,7 +7,9 @@
 namespace vqoe::window {
 namespace {
 
+using wire::get_f64;
 using wire::get_varint;
+using wire::put_f64;
 using wire::put_varint;
 using wire::WireError;
 
@@ -19,25 +20,6 @@ constexpr std::uint8_t kFlagMask = kFlagFinalWindow | kFlagSwitches;
 // Subscriber ids in weblogs are short ("sub-123"); anything kilobytes long
 // in a verdict frame is corruption, not data.
 constexpr std::size_t kMaxSubscriberBytes = 4096;
-
-void put_f64(double v, std::vector<std::uint8_t>& out) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
-}
-
-double get_f64(const std::uint8_t* data, std::size_t size,
-               std::size_t& offset) {
-  if (size - offset < 8) throw WireError{"truncated f64", offset};
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(data[offset + static_cast<std::size_t>(i)])
-            << (8 * i);
-  }
-  offset += 8;
-  return std::bit_cast<double>(bits);
-}
 
 std::uint8_t get_u8(const std::uint8_t* data, std::size_t size,
                     std::size_t& offset) {

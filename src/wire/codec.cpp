@@ -25,10 +25,6 @@ void put_u64(std::uint64_t v, std::vector<std::uint8_t>& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void put_f64(double d, std::vector<std::uint8_t>& out) {
-  put_u64(std::bit_cast<std::uint64_t>(d), out);
-}
-
 std::uint64_t get_u64(const std::uint8_t* data, std::size_t size,
                       std::size_t& offset) {
   if (offset > size || size - offset < 8) {
@@ -41,11 +37,6 @@ std::uint64_t get_u64(const std::uint8_t* data, std::size_t size,
   }
   offset += 8;
   return v;
-}
-
-double get_f64(const std::uint8_t* data, std::size_t size,
-               std::size_t& offset) {
-  return std::bit_cast<double>(get_u64(data, size, offset));
 }
 
 void put_string(const std::string& s, std::vector<std::uint8_t>& out) {
@@ -125,6 +116,15 @@ std::uint64_t get_varint(const std::uint8_t* data, std::size_t size,
     if (!(byte & 0x80u)) return value;
   }
   throw WireError{"varint longer than 10 bytes", offset};
+}
+
+void put_f64(double value, std::vector<std::uint8_t>& out) {
+  put_u64(std::bit_cast<std::uint64_t>(value), out);
+}
+
+double get_f64(const std::uint8_t* data, std::size_t size,
+               std::size_t& offset) {
+  return std::bit_cast<double>(get_u64(data, size, offset));
 }
 
 void encode_record(const trace::WeblogRecord& record, std::uint8_t version,

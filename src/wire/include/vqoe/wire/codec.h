@@ -71,6 +71,13 @@ void put_varint(std::uint64_t value, std::vector<std::uint8_t>& out);
 [[nodiscard]] std::uint64_t get_varint(const std::uint8_t* data,
                                        std::size_t size, std::size_t& offset);
 
+/// f64 append / read: the IEEE-754 bits as 8 little-endian bytes, so every
+/// value (NaN payloads and -0.0 included) round-trips bit for bit. get_f64
+/// throws WireError on truncation.
+void put_f64(double value, std::vector<std::uint8_t>& out);
+[[nodiscard]] double get_f64(const std::uint8_t* data, std::size_t size,
+                             std::size_t& offset);
+
 /// Appends one record in the given format version. Throws WireError when
 /// `version` is unsupported or a field exceeds the format bounds.
 void encode_record(const trace::WeblogRecord& record, std::uint8_t version,

@@ -66,18 +66,14 @@ enum class MergeKey : std::uint8_t { timestamp, arrival_time };
   return key == MergeKey::timestamp ? r.timestamp_s : r.arrival_time_s();
 }
 
-/// Stable FNV-1a assignment of a subscriber to one of `probes` vantage
-/// points. Partitioning a feed this way keeps every subscriber's records
-/// on one probe, so per-subscriber arrival order survives the k-way merge
-/// regardless of how the probes' streams interleave.
+/// Stable assignment of a subscriber to one of `probes` vantage points
+/// (trace::subscriber_bucket). Partitioning a feed this way keeps every
+/// subscriber's records on one probe, so per-subscriber arrival order
+/// survives the k-way merge regardless of how the probes' streams
+/// interleave.
 [[nodiscard]] inline std::size_t probe_of_subscriber(
     std::string_view subscriber, std::size_t probes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char ch : subscriber) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h % (probes ? probes : 1));
+  return trace::subscriber_bucket(subscriber, probes);
 }
 
 /// The subset of `records` probe `probe_index` of `probe_count` would see,

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <iterator>
@@ -486,6 +487,65 @@ TEST_F(MonitorEngineTest, BackgroundOnlyFeedNeverReachesTheQueues) {
       EXPECT_EQ(shard.ingest_ns, 0u) << "shards=" << shards;
       EXPECT_EQ(shard.queue_peak, 0u) << "shards=" << shards;
       EXPECT_EQ(shard.records_in, shard.records_out);
+    }
+  }
+}
+
+TEST_F(MonitorEngineTest, ConcurrentSnapshotsNeverCountMoreOutThanIn) {
+  // A stats() reader racing full-rate ingest at 4 shards: every snapshot,
+  // per shard and in the totals, has records_in >= records_out + dropped.
+  // stats() takes the worker's published counters under the shard lock
+  // before it reads the ingest side; the other order let a worker catch
+  // up between the two reads. DropNewest with small queues sheds, so the
+  // dropped side of the bound is exercised too; background records add
+  // the host-filter count to both sides. A race: a regression shows here
+  // as a failure in some runs, not in every run.
+  auto live_options = workload::encrypted_corpus_options(120, 1990);
+  live_options.subscribers = 48;
+  live_options.keep_session_results = false;
+  const auto feed = with_background(
+      trace::encrypt_view(workload::generate_corpus(live_options).weblogs));
+
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::Block, BackpressurePolicy::DropNewest}) {
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(std::string(policy == BackpressurePolicy::Block
+                                   ? "Block"
+                                   : "DropNewest") +
+                   " round=" + std::to_string(round));
+      EngineConfig config;
+      config.shards = 4;
+      config.backpressure = policy;
+      config.queue_capacity = policy == BackpressurePolicy::Block ? 256 : 16;
+      MonitorEngine engine{pipeline_, config};
+
+      std::atomic<bool> reading{false};
+      std::atomic<bool> ingest_done{false};
+      std::uint64_t snapshots = 0;
+      std::uint64_t violations = 0;
+      std::thread reader([&] {
+        while (!ingest_done.load(std::memory_order_acquire)) {
+          const EngineStats stats = engine.stats();
+          ++snapshots;
+          reading.store(true, std::memory_order_release);
+          bool ok = stats.records_in >= stats.records_out + stats.dropped;
+          for (const ShardStats& shard : stats.shards) {
+            ok = ok && shard.records_in >= shard.records_out + shard.dropped;
+          }
+          if (!ok) ++violations;
+        }
+      });
+      // The reader is looping before the first record goes in.
+      while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (const auto& record : feed) (void)engine.ingest(record);
+      (void)engine.drain();
+      ingest_done.store(true, std::memory_order_release);
+      reader.join();
+
+      EXPECT_EQ(violations, 0u) << "of " << snapshots << " snapshots";
+      const EngineStats stats = engine.stats();
+      EXPECT_EQ(stats.records_in, feed.size());
+      EXPECT_EQ(stats.records_in, stats.records_out + stats.dropped);
     }
   }
 }

@@ -2,10 +2,11 @@
 // Collector event loop → MonitorEngine zero-copy ingest) with drift
 // tracking and a shadow model enabled and a hot swap landing mid-stream,
 // while another thread concurrently reads stats() and harvests verdicts.
-// This is the TSan acceptance for ISSUE 9: the swap path, the lifecycle
-// observers, and the stats mirrors must all be clean under real
-// concurrency. A companion test pins that enabling drift + shadow does not
-// perturb a single emitted verdict or session.
+// This is the lifecycle's TSan acceptance: the swap path, the lifecycle
+// observers, and the published stats snapshot must all be clean under
+// real concurrency. Companion tests pin that enabling drift + shadow does
+// not perturb a single emitted verdict or session, and that every engine
+// total is its counter-table row's fold over the shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,10 +180,8 @@ TEST_F(EngineLifecycleTest, HotSwapUnderFullRateWireIngestIsClean) {
 
   // The swap landed on every shard.
   EXPECT_EQ(final_stats.model_generation, 1u);
-  EXPECT_EQ(final_stats.swaps_applied, 1u);
   for (const auto& shard : final_stats.shards) {
     EXPECT_EQ(shard.model_generation, 1u);
-    EXPECT_EQ(shard.swaps_applied, 1u);
   }
 
   // Lifecycle instrumentation actually ran.
@@ -192,6 +191,51 @@ TEST_F(EngineLifecycleTest, HotSwapUnderFullRateWireIngestIsClean) {
   EXPECT_LE(final_stats.shadow_divergence, 1.0);
   EXPECT_GE(final_stats.drift_distance, 0.0);
   EXPECT_LE(final_stats.drift_distance, 1.0);
+}
+
+TEST_F(EngineLifecycleTest, EveryTotalIsItsRowsFoldOverShards) {
+  // stats() folds the shards by the counter table's merge rules; recompute
+  // every row's fold from the per-shard breakdown of the same snapshot,
+  // mid-stream and drained, with every counter source switched on.
+  const auto expect_folded = [](const EngineStats& stats, const char* when) {
+    for_each_counter([&](const char* name, auto ShardStats::*field,
+                         Merge merge) {
+      auto expected = stats.shards.front().*field;
+      for (std::size_t i = 1; i < stats.shards.size(); ++i) {
+        const auto v = stats.shards[i].*field;
+        if (merge == Merge::sum) {
+          expected += v;
+        } else if (merge == Merge::max) {
+          expected = std::max(expected, v);
+        } else {
+          expected = std::min(expected, v);
+        }
+      }
+      EXPECT_EQ(stats.*field, expected) << name << ", " << when;
+    });
+  };
+
+  const std::size_t swap_at = records_->size() / 2;
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MonitorEngine engine{model_a_, lifecycle_config(shards)};
+    for (std::size_t i = 0; i < records_->size(); ++i) {
+      if (i == swap_at) engine.swap_model(model_b_);
+      ASSERT_TRUE(engine.ingest((*records_)[i]));
+      if (i % 512 == 0) expect_folded(engine.stats(), "mid-stream");
+    }
+    (void)engine.drain();
+    const EngineStats stats = engine.stats();
+    ASSERT_EQ(stats.shards.size(), shards);
+    expect_folded(stats, "drained");
+    // The counters the fold covers actually moved.
+    EXPECT_EQ(stats.records_out, records_->size());
+    EXPECT_EQ(stats.model_generation, 1u);
+    EXPECT_GT(stats.windows_emitted, 0u);
+    EXPECT_GT(stats.shadow_scored, 0u);
+    EXPECT_GT(stats.ingest_ns, 0u);
+    EXPECT_GT(stats.arena_high_water, 0u);
+  }
 }
 
 TEST_F(EngineLifecycleTest, DriftAndShadowNeverPerturbOutputs) {
@@ -225,7 +269,6 @@ TEST_F(EngineLifecycleTest, ShadowCountsCoverSessionsAndWindows) {
   // through the shadow scorer.
   EXPECT_GE(stats.shadow_scored, stats.sessions_reported);
   EXPECT_EQ(stats.model_generation, 0u);
-  EXPECT_EQ(stats.swaps_applied, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
-// --status-json contract: one line, valid JSON, and every numeric field
-// parses back to exactly the value the stats carried (doubles included —
-// the emitter uses %.17g, which round-trips every finite double).
+// --status-json contract: one line, valid JSON, the keys are exactly the
+// counter table's rows in order (engine.h for_each_counter), and every
+// numeric field parses back to exactly the value the stats carried
+// (doubles included — the emitter uses %.17g, which round-trips every
+// finite double).
 #include "vqoe/engine/status_json.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace vqoe::engine {
 namespace {
@@ -47,25 +53,34 @@ std::uint64_t u64_field(const std::string& json, const std::string& key) {
   return out;
 }
 
+/// Every key of a flat JSON object, in emission order.
+std::vector<std::string> keys_of(const std::string& json) {
+  std::vector<std::string> keys;
+  for (std::size_t at = json.find('"'); at != std::string::npos;
+       at = json.find('"', at)) {
+    const std::size_t close = json.find('"', at + 1);
+    keys.push_back(json.substr(at + 1, close - at - 1));
+    at = close + 1;
+  }
+  return keys;
+}
+
+/// Every counter of the table set to its own value: integers past 2^32 (a
+/// 32-bit truncation shows), doubles not exactly representable (so only a
+/// round-tripping format parses them back bit for bit).
 EngineStats sample_stats() {
   EngineStats stats;
-  stats.records_in = 123456789;
-  stats.records_out = 123456788;
-  stats.dropped = 1;
-  stats.sessions_reported = 4242;
-  stats.sessions_discarded = 17;
-  stats.sessions_evicted = 3;
-  stats.windows_emitted = 99999;
-  stats.verdicts_emitted = 88888;
-  stats.live_sessions = 512;
-  stats.arena_bytes_in_use = 1 << 20;
-  stats.arena_high_water = 1 << 21;
-  stats.drift_distance = 0.1;  // not exactly representable: the round-trip case
+  std::uint64_t row = 0;
+  for_each_counter([&](const char*, auto ShardStats::*field, Merge) {
+    ++row;
+    auto& value = stats.*field;
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(value)>>) {
+      value = 0.1 * static_cast<double>(row);
+    } else {
+      value = (std::uint64_t{1} << 33) + 1000 * row + 7;
+    }
+  });
   stats.shadow_divergence = 1.0 / 3.0;
-  stats.shadow_scored = 1000;
-  stats.shadow_disagreements = 333;
-  stats.model_generation = 2;
-  stats.swaps_applied = 2;
   stats.shards.resize(4);
   return stats;
 }
@@ -85,26 +100,36 @@ TEST(StatusJsonTest, EveryFieldParsesBackExactly) {
 
   EXPECT_EQ(u64_field(json, "records_merged"), extras.records_merged);
   EXPECT_EQ(double_field(json, "elapsed_s"), extras.elapsed_s);
-  EXPECT_EQ(u64_field(json, "records_in"), stats.records_in);
-  EXPECT_EQ(u64_field(json, "records_out"), stats.records_out);
-  EXPECT_EQ(u64_field(json, "dropped"), stats.dropped);
-  EXPECT_EQ(u64_field(json, "sessions_reported"), stats.sessions_reported);
-  EXPECT_EQ(u64_field(json, "sessions_discarded"), stats.sessions_discarded);
-  EXPECT_EQ(u64_field(json, "sessions_evicted"), stats.sessions_evicted);
-  EXPECT_EQ(u64_field(json, "windows_emitted"), stats.windows_emitted);
-  EXPECT_EQ(u64_field(json, "verdicts_emitted"), stats.verdicts_emitted);
-  EXPECT_EQ(u64_field(json, "live_sessions"), stats.live_sessions);
-  EXPECT_EQ(u64_field(json, "arena_bytes_in_use"), stats.arena_bytes_in_use);
-  EXPECT_EQ(u64_field(json, "arena_high_water"), stats.arena_high_water);
+  for_each_counter([&](const char* name, auto ShardStats::*field, Merge) {
+    const auto value = stats.*field;
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      // Bit equality is the point: %.17g round-trips every finite double.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(double_field(json, name)),
+                std::bit_cast<std::uint64_t>(value))
+          << name;
+    } else {
+      EXPECT_EQ(u64_field(json, name), value) << name;
+    }
+  });
   EXPECT_EQ(u64_field(json, "shards"), stats.shards.size());
-  // Exact double equality is the point: %.17g round-trips bit-for-bit.
-  EXPECT_EQ(double_field(json, "drift_distance"), stats.drift_distance);
-  EXPECT_EQ(double_field(json, "shadow_divergence"), stats.shadow_divergence);
-  EXPECT_EQ(u64_field(json, "shadow_scored"), stats.shadow_scored);
-  EXPECT_EQ(u64_field(json, "shadow_disagreements"),
-            stats.shadow_disagreements);
-  EXPECT_EQ(u64_field(json, "model_generation"), stats.model_generation);
-  EXPECT_EQ(u64_field(json, "swaps_applied"), stats.swaps_applied);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(double_field(json, "shadow_divergence")),
+            std::bit_cast<std::uint64_t>(stats.shadow_divergence));
+}
+
+TEST(StatusJsonTest, KeysAreTheCounterTableInOrder) {
+  // The schema, pinned: adding, renaming, removing or reordering a counter
+  // changes this list, so it shows up as a reviewed diff.
+  const std::vector<std::string> golden = {
+      "records_merged",     "elapsed_s",          "records_in",
+      "records_out",        "dropped",            "sessions_reported",
+      "sessions_discarded", "sessions_evicted",   "windows_emitted",
+      "verdicts_emitted",   "live_sessions",      "arena_bytes_in_use",
+      "arena_high_water",   "ingest_ns",          "queue_depth",
+      "queue_peak",         "drift_distance",     "shadow_scored",
+      "shadow_disagreements", "model_generation", "shards",
+      "shadow_divergence"};
+  EXPECT_EQ(keys_of(status_json(sample_stats(), {77, 1.5})), golden);
+  EXPECT_EQ(keys_of(status_json(EngineStats{})), golden);
 }
 
 TEST(StatusJsonTest, DefaultExtrasAndEmptyStats) {

@@ -212,10 +212,8 @@ TEST_F(SwapDeterminismTest, SwapMatchesSequentialSplitAcrossShardCounts) {
     // The swap landed exactly once on every shard.
     const EngineStats stats = engine.stats();
     EXPECT_EQ(stats.model_generation, 1u) << shards << " shards";
-    EXPECT_EQ(stats.swaps_applied, 1u) << shards << " shards";
     for (const auto& s : stats.shards) {
       EXPECT_EQ(s.model_generation, 1u);
-      EXPECT_EQ(s.swaps_applied, 1u);
     }
   }
 }
@@ -262,7 +260,6 @@ TEST_F(SwapDeterminismTest, SwapJustBeforeDrainStillApplies) {
   (void)engine.drain();
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.model_generation, 1u);
-  EXPECT_EQ(stats.swaps_applied, 1u);
 }
 
 TEST_F(SwapDeterminismTest, RepeatedSwapsAllLand) {
@@ -282,7 +279,6 @@ TEST_F(SwapDeterminismTest, RepeatedSwapsAllLand) {
   (void)engine.drain();
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.model_generation, swaps);
-  EXPECT_EQ(stats.swaps_applied, swaps);
   EXPECT_EQ(stats.dropped, 0u);
 }
 

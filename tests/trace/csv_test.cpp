@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "vqoe/workload/corpus.h"
 
@@ -173,6 +175,139 @@ TEST_F(CsvTest, QuotingOnlyTouchesFieldsThatNeedIt) {
   std::string content{std::istreambuf_iterator<char>{is},
                       std::istreambuf_iterator<char>{}};
   EXPECT_EQ(content.find('"'), std::string::npos);
+}
+
+/// Column indices of the weblog CSV (the writer's header order).
+constexpr std::size_t kTimestampCol = 1;
+constexpr std::size_t kSizeCol = 3;
+constexpr std::size_t kKindCol = 5;
+constexpr std::size_t kEncryptedCol = 6;
+constexpr std::size_t kRttMinCol = 8;
+constexpr std::size_t kRttAvgCol = 9;
+constexpr std::size_t kMediaChunksCol = 6;  // ground truth
+
+std::vector<std::string> split_commas(const std::string& line) {
+  std::vector<std::string> fields(1);
+  for (const char c : line) {
+    if (c == ',') {
+      fields.emplace_back();
+    } else {
+      fields.back().push_back(c);
+    }
+  }
+  return fields;
+}
+
+/// Rewrites column `column` of the one data row of a written CSV (whose
+/// fields need no quoting) to `value`.
+void overwrite_field(const std::filesystem::path& path, std::size_t column,
+                     const std::string& value) {
+  std::string header, row;
+  {
+    std::ifstream is{path};
+    std::getline(is, header);
+    std::getline(is, row);
+  }
+  auto fields = split_commas(row);
+  ASSERT_LT(column, fields.size());
+  fields[column] = value;
+  std::ofstream os{path};
+  os << header << '\n';
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    os << (i ? "," : "") << fields[i];
+  }
+  os << '\n';
+}
+
+/// A one-record weblog CSV with `value` in `column`.
+std::filesystem::path weblog_with(const std::filesystem::path& dir,
+                                  std::size_t column,
+                                  const std::string& value) {
+  WeblogRecord r;
+  r.subscriber_id = "sub-1";
+  r.host = "r3---sn-h5q7dne7.googlevideo.com";
+  r.timestamp_s = 10.5;
+  r.object_size_bytes = 4096;
+  r.transport.rtt_min_ms = 20.0;
+  r.transport.rtt_avg_ms = 35.0;
+  const auto path = dir / ("weblog_" + std::to_string(column) + ".csv");
+  write_weblogs_csv(path, {r});
+  overwrite_field(path, column, value);
+  return path;
+}
+
+/// Expects the read to throw std::runtime_error naming the data row (row
+/// 2; the header is row 1) and `column_name`.
+template <typename Read>
+void expect_rejected(Read read, const std::string& column_name) {
+  try {
+    (void)read();
+    ADD_FAILURE() << "accepted a bad " << column_name;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("column " + column_name), std::string::npos) << what;
+  }
+}
+
+TEST_F(CsvTest, ValidNumbersStillParse) {
+  // The rewriting helper itself: a well-formed replacement reads back.
+  const auto loaded =
+      read_weblogs_csv(weblog_with(dir_, kTimestampCol, "1.5e+03"));
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].timestamp_s, 1500.0);
+  EXPECT_EQ(loaded[0].object_size_bytes, 4096u);
+}
+
+TEST_F(CsvTest, TrailingBytesAfterANumberAreRejected) {
+  // std::stod read "10.5x" as 10.5.
+  const auto path = weblog_with(dir_, kTimestampCol, "10.5x");
+  expect_rejected([&] { return read_weblogs_csv(path); }, "timestamp_s");
+}
+
+TEST_F(CsvTest, SignOnAnUnsignedFieldIsRejected) {
+  // std::stoull read "-1" as 18446744073709551615.
+  const auto path = weblog_with(dir_, kSizeCol, "-1");
+  expect_rejected([&] { return read_weblogs_csv(path); }, "size_bytes");
+}
+
+TEST_F(CsvTest, OverflowIsRejected) {
+  // One past UINT64_MAX: std::stoull threw std::out_of_range, which is no
+  // std::runtime_error.
+  const auto path = weblog_with(dir_, kSizeCol, "18446744073709551616");
+  expect_rejected([&] { return read_weblogs_csv(path); }, "size_bytes");
+}
+
+TEST_F(CsvTest, UnknownRecordKindIsRejected) {
+  // The wire codec refuses any kind above playback_report; so does the CSV.
+  const auto path = weblog_with(dir_, kKindCol, "9");
+  expect_rejected([&] { return read_weblogs_csv(path); }, "kind");
+}
+
+TEST_F(CsvTest, NonFiniteDoublesAreRejected) {
+  const auto nan_path = weblog_with(dir_, kRttMinCol, "nan");
+  expect_rejected([&] { return read_weblogs_csv(nan_path); }, "rtt_min_ms");
+  const auto inf_path = weblog_with(dir_, kRttAvgCol, "inf");
+  expect_rejected([&] { return read_weblogs_csv(inf_path); }, "rtt_avg_ms");
+}
+
+TEST_F(CsvTest, FlagOtherThanZeroOrOneIsRejected) {
+  // "2" used to read as false.
+  const auto path = weblog_with(dir_, kEncryptedCol, "2");
+  expect_rejected([&] { return read_weblogs_csv(path); }, "encrypted");
+}
+
+TEST_F(CsvTest, GroundTruthNumbersAreParsedWhole) {
+  // std::stoull read "12abc" as 12.
+  SessionGroundTruth truth;
+  truth.session_id = "abcDEF0123456789";
+  truth.subscriber_id = "sub-1";
+  truth.media_chunk_count = 12;
+  const auto path = dir_ / "truth_bad.csv";
+  write_ground_truth_csv(path, {truth});
+  overwrite_field(path, kMediaChunksCol, "12abc");
+  expect_rejected([&] { return read_ground_truth_csv(path); },
+                  "media_chunks");
 }
 
 TEST_F(CsvTest, UnterminatedQuoteThrows) {

@@ -71,6 +71,65 @@ TEST(VerdictCodec, RoundTripsEveryField) {
   }
 }
 
+TEST(VerdictCodec, GoldenBytes) {
+  // The verdict format, pinned byte for byte: a two-verdict batch with a
+  // multi-byte varint index and chunk count, both flag bits, a negative
+  // double and one near the bottom of the normal range. Any change to the
+  // layout or to the shared varint/f64 helpers shows up here.
+  std::vector<WindowVerdict> batch(2);
+  WindowVerdict& a = batch[0];
+  a.subscriber_id = "sub-7";
+  a.window_index = 3;
+  a.start_s = 30.0;
+  a.end_s = 40.0;
+  a.chunk_count = 5;
+  a.final_window = false;
+  a.stall = 1;
+  a.representation = 2;
+  a.quality_switches = true;
+  a.switch_score = 0.1;
+  a.stall_confidence = 0.75;
+  a.repr_confidence = 1.0 / 3.0;
+  a.window_cusum = 12.5;
+  a.mean_goodput_kbps = 2500.25;
+  WindowVerdict& b = batch[1];
+  b.subscriber_id = "subscriber-300";
+  b.window_index = 300;
+  b.start_s = 2990.5;
+  b.end_s = 3000.0;
+  b.chunk_count = 200;
+  b.final_window = true;
+  b.quality_switches = false;
+  b.switch_score = -1.5;
+  b.stall_confidence = 1e-300;
+  b.repr_confidence = 0.0;
+  b.window_cusum = 7.25e6;
+  b.mean_goodput_kbps = 0.5;
+
+  const std::vector<std::uint8_t> golden = {
+      0x02, 0x05, 0x73, 0x75, 0x62, 0x2d, 0x37, 0x03, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x3e, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x40,
+      0x05, 0x02, 0x01, 0x02, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, 0x55, 0x55, 0x55, 0x55,
+      0x55, 0x55, 0xd5, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x29, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x80, 0x88, 0xa3, 0x40, 0x0e, 0x73, 0x75, 0x62,
+      0x73, 0x63, 0x72, 0x69, 0x62, 0x65, 0x72, 0x2d, 0x33, 0x30, 0x30, 0xac,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x5d, 0xa7, 0x40, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x70, 0xa7, 0x40, 0xc8, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xf8, 0xbf, 0x59, 0xf3, 0xf8, 0xc2, 0x1f, 0x6e,
+      0xa5, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x14, 0xa8, 0x5b, 0x41, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xe0, 0x3f};
+  std::vector<std::uint8_t> payload;
+  encode_verdicts(batch, payload);
+  EXPECT_EQ(payload, golden);
+
+  const auto decoded = decode_verdicts(golden.data(), golden.size());
+  ASSERT_EQ(decoded.size(), 2u);
+  expect_equal(decoded[0], a);
+  expect_equal(decoded[1], b);
+}
+
 TEST(VerdictCodec, EmptyBatchRoundTrips) {
   std::vector<std::uint8_t> payload;
   encode_verdicts({}, payload);

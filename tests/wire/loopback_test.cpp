@@ -165,6 +165,44 @@ class LoopbackTest : public ::testing::Test {
 std::shared_ptr<const QoePipeline> LoopbackTest::pipeline_;
 std::unique_ptr<std::vector<trace::WeblogRecord>> LoopbackTest::live_;
 
+TEST(SubscriberPartition, BucketsArePinnedForProbesAndShards) {
+  // Probes and engine shards partition subscribers with one function,
+  // trace::subscriber_bucket. The table pins its buckets at 1-8 buckets:
+  // a change would move subscribers between probes and shards (and would
+  // shift every recorded per-shard figure), so it must show as a diff.
+  // The ids cover the empty id, bytes >= 0x80 (the hash reads bytes
+  // unsigned) and the CSV-hostile comma.
+  struct Pinned {
+    const char* subscriber;
+    std::size_t bucket[8];  // at 1, 2, ..., 8 buckets
+  };
+  const Pinned table[] = {
+      {"", {0, 1, 2, 1, 2, 5, 2, 5}},
+      {"a", {0, 0, 1, 0, 1, 4, 5, 4}},
+      {"sub-0", {0, 0, 2, 0, 1, 2, 0, 0}},
+      {"sub-1", {0, 1, 0, 3, 2, 3, 3, 3}},
+      {"sub-42", {0, 0, 0, 2, 0, 0, 5, 2}},
+      {"sub-1234", {0, 0, 1, 0, 3, 4, 2, 4}},
+      {"sub-\xc3\xa9", {0, 0, 1, 0, 3, 4, 0, 0}},
+      {"subscriber-with-a-long-id-0007", {0, 1, 0, 1, 0, 3, 2, 1}},
+      {"sub,with,commas", {0, 1, 1, 1, 3, 1, 4, 1}},
+      {"10.0.0.7", {0, 1, 0, 3, 1, 3, 2, 3}},
+  };
+  for (const Pinned& row : table) {
+    for (std::size_t n = 1; n <= 8; ++n) {
+      SCOPED_TRACE(std::string{row.subscriber} + " at " + std::to_string(n));
+      EXPECT_EQ(trace::subscriber_bucket(row.subscriber, n),
+                row.bucket[n - 1]);
+      EXPECT_EQ(probe_of_subscriber(row.subscriber, n), row.bucket[n - 1]);
+      EXPECT_EQ(engine::ShardRouter(n).shard_of(row.subscriber),
+                row.bucket[n - 1]);
+    }
+  }
+  // Zero buckets means one.
+  EXPECT_EQ(probe_of_subscriber("sub-1", 0), 0u);
+  EXPECT_EQ(engine::ShardRouter(0).shards(), 1u);
+}
+
 TEST_F(LoopbackTest, PartitionForProbeIsDisjointOrderPreservingAndComplete) {
   const auto& records = *live_;
   constexpr std::size_t kProbes = 4;

@@ -412,13 +412,12 @@ int main(int argc, char** argv) {
   if (lifecycle_enabled || model_watch) {
     std::printf(
         "lifecycle: drift %.4f, shadow divergence %.4f (%llu scored, "
-        "%llu disagreements), generation %llu, %llu swaps applied "
-        "(%llu published, %llu refused)\n",
+        "%llu disagreements), generation %llu "
+        "(%llu swaps published, %llu refused)\n",
         engine_stats.drift_distance, engine_stats.shadow_divergence,
         static_cast<unsigned long long>(engine_stats.shadow_scored),
         static_cast<unsigned long long>(engine_stats.shadow_disagreements),
         static_cast<unsigned long long>(engine_stats.model_generation),
-        static_cast<unsigned long long>(engine_stats.swaps_applied),
         static_cast<unsigned long long>(swaps_published),
         static_cast<unsigned long long>(swaps_refused));
   }

@@ -325,11 +325,10 @@ int main(int argc, char** argv) {
     // Zero-downtime contract: every published swap must have landed on
     // every shard (generation is the min across shards) without shedding
     // a single record on the way.
-    std::printf("lifecycle: %llu reloads published, generation %llu "
-                "(%llu swaps applied), %llu records dropped\n",
+    std::printf("lifecycle: %llu reloads published, generation %llu, "
+                "%llu records dropped\n",
                 static_cast<unsigned long long>(reloads_published),
                 static_cast<unsigned long long>(stats.model_generation),
-                static_cast<unsigned long long>(stats.swaps_applied),
                 static_cast<unsigned long long>(stats.dropped));
     if (stats.model_generation < reloads_published || stats.dropped != 0) {
       std::fprintf(stderr,
