@@ -1,10 +1,12 @@
 // Shared google-benchmark entry point that makes every perf binary emit
-// machine-readable results by default: unless the caller already passed
-// --benchmark_out, results are also written as JSON to a fixed file
+// machine-readable results by default: a full run that names no
+// --benchmark_out also writes its results as JSON to a fixed file
 // (BENCH_pipeline.json / BENCH_engine.json / BENCH_train.json /
-// BENCH_predict.json) in the working directory, so the perf trajectory is
-// tracked across PRs without remembering the flags. Console output is
-// unchanged.
+// BENCH_predict.json / BENCH_window.json / BENCH_wire.json) in the working
+// directory, so the perf trajectory is tracked without remembering the
+// flags. A listing (--benchmark_list_tests) or a filtered run
+// (--benchmark_filter) gets no default file: it would truncate or replace
+// a full run's rows with a subset. Console output is unchanged.
 //
 // The entry point also defaults to repeated trials (3 repetitions,
 // aggregates only) so every BENCH_*.json row is a median with min/max
@@ -66,9 +68,14 @@ inline void add_run_metadata() {
 inline int run_benchmarks_with_default_json(int argc, char** argv,
                                             const char* default_out) {
   bool has_out = false;
+  bool partial_run = false;  // a listing or a filtered run
   bool has_repetitions = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
+    if (std::strncmp(argv[i], "--benchmark_list_tests", 22) == 0 ||
+        std::strncmp(argv[i], "--benchmark_filter", 18) == 0) {
+      partial_run = true;
+    }
     if (std::strncmp(argv[i], "--benchmark_repetitions", 23) == 0) {
       has_repetitions = true;
     }
@@ -77,7 +84,7 @@ inline int run_benchmarks_with_default_json(int argc, char** argv,
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag;
   std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
+  if (!has_out && !partial_run) {
     out_flag = std::string{"--benchmark_out="} + default_out;
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());

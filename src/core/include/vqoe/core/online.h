@@ -10,49 +10,44 @@
 //
 // With a window::WindowConfig the monitor additionally reports *mid-session*:
 // every time a window of the configured length closes (by a record or an
-// advance_to tick moving the stream clock past its end), the ingest path
-// only records the window's chunk span — the chunks the schedule's
-// membership test (window::SessionWindows::locate) places inside it, found
-// by binary search over request times. No per-window state is kept while a
-// window is open, and no inference runs. take_verdicts() then scores each
-// pending span through the same QoePipeline::assess_scored code path as
-// session close and folds it through window::WindowSummary, yielding a
+// advance_to tick moving the stream clock past its end, or by its session
+// closing), the call that closed it recovers the window's chunk span — the
+// chunks the schedule's membership test (window::SessionWindows::locate)
+// places inside it, found by binary search over request times — scores it
+// through the same QoePipeline::assess_scored code path as session close
+// and folds it through window::WindowSummary, yielding a
 // window::WindowVerdict (labels, forest confidences, windowed CUSUM and
-// goodput) per window: every number a verdict carries comes from the chunks
-// inside its own bounds. Deferring the work to harvest time keeps the
-// per-record ingest overhead to the schedule's bookkeeping (bench/perf_window
-// measures it), and in the sharded engine it puts scoring on the shard
-// workers' publish step rather than under ingest. A verdict's content
-// depends only on its chunk span and the pipeline, never on *when* the
-// harvest runs, so the stream stays deterministic. Because the scoring
-// path is shared with session close, a full-session window (length
-// covering the whole session) reproduces the session-close QoeReport
-// bit-identically — a tested invariant, like the equivalence with the
-// batch path (session::reconstruct + QoePipeline::assess).
+// goodput). No per-window state is kept while a window is open: every
+// number a verdict carries comes from the chunks inside its own bounds.
+// take_verdicts() only hands over the verdicts scored so far, so sessions,
+// verdicts and evictions depend on the records alone, never on when (or
+// whether) anyone harvests. Because the scoring path is shared with
+// session close, a full-session window (length covering the whole session)
+// reproduces the session-close QoeReport bit-identically — a tested
+// invariant, like the equivalence with the batch path (session::reconstruct
+// + QoePipeline::assess).
 //
 // Memory model (DESIGN.md §5i): every piece of per-session state — the
 // session map's nodes, the interned subscriber keys, the slab-chained
-// chunk logs, the pending-window queues — lives in a per-monitor
-// mem::SessionArena. Freed sessions recirculate through the arena's
-// freelists, so a churning monitor ingests without calling malloc, and
-// occupancy is explicit: with mem_ceiling_bytes set, ingest evicts
-// least-recently-active sessions through the *normal close path* whenever
-// the arena is over the ceiling — an evicted session is a session
-// boundary, indistinguishable from an idle-gap close at the same instant
-// (a tested invariant), so bounded memory costs no correctness, only
-// session splits under pressure.
+// chunk logs — lives in a per-monitor mem::SessionArena. Freed sessions
+// recirculate through the arena's freelists, so a churning monitor
+// ingests without calling malloc, and occupancy is explicit: with
+// mem_ceiling_bytes set, ingest evicts least-recently-active sessions
+// through the *normal close path* whenever the arena is over the ceiling —
+// an evicted session is a session boundary, indistinguishable from an
+// idle-gap close at the same instant (a tested invariant), so bounded
+// memory costs no correctness, only session splits under pressure.
 // Model lifecycle: the monitor holds its pipeline through a
 // shared_ptr<const QoePipeline> and can hot-swap it mid-stream with
-// swap_pipeline(). A swap first scores every still-pending window with the
-// *outgoing* model — a verdict's model is pinned at window close time, so
-// harvest cadence never changes which model scored a window — then installs
-// the new pipeline and bumps model_generation(). Everything after the swap
-// call (session closes, window scoring) uses the new model, which makes a
-// swap a deterministic stream position: the engine aligns it on a watermark
-// boundary and the result is bit-identical to an offline run split at the
-// same epoch (a tested invariant). An optional ScoreObserver sees every
-// scored session/window — the lifecycle library's drift tracking and
-// shadow scoring hang off that hook without touching the verdict path.
+// swap_pipeline(), which installs the new pipeline and bumps
+// model_generation(). A window is scored by the model installed when it
+// closed, and everything after the swap call (session closes, window
+// closes) uses the new model, which makes a swap a deterministic stream
+// position: the engine aligns it on a watermark boundary and the result
+// is bit-identical to an offline run split at the same epoch (a tested
+// invariant). An optional ScoreObserver sees every scored session/window
+// — the lifecycle library's drift tracking and shadow scoring hang off
+// that hook without touching the verdict path.
 #pragma once
 
 #include <cstddef>
@@ -101,7 +96,9 @@ class ScoreObserver {
                           std::span<const ChunkObs> chunks,
                           const QoePipeline::SessionFeatures& features,
                           const QoeReport& report) = 0;
-  /// A pending window was scored; `verdict` is the emitted verdict.
+  /// A window closed and was scored; `verdict` is the emitted verdict. A
+  /// closing session's last windows reach the observer before its
+  /// on_session.
   virtual void on_window(std::string_view subscriber,
                          std::span<const ChunkObs> chunks,
                          const QoePipeline::SessionFeatures& features,
@@ -178,7 +175,7 @@ class OnlineMonitor {
   /// order per subscriber. Returns the sessions this record closed
   /// (usually none or one — plus any sessions the memory ceiling evicted,
   /// which close exactly as if their idle gap had elapsed). With windowing
-  /// enabled the record's timestamp first closes (and scores) any due
+  /// enabled the record's timestamp first closes and scores any due
   /// windows of its own subscriber's session — a record exactly at a
   /// window end closes that window and lands in the next one (the pinned
   /// half-open boundary rule).
@@ -194,27 +191,23 @@ class OnlineMonitor {
   /// End of stream: closes and reports every open session.
   std::vector<CompletedSession> flush();
 
-  /// Hot-swaps the active pipeline. Pending windows are scored with the
-  /// outgoing model and its feature plan first (their windows closed under
-  /// it), then `next` becomes the model for every subsequent close and
-  /// score — deterministic in the stream position of this call. Must not
-  /// be null; throws std::invalid_argument otherwise. Call from the
-  /// scoring thread.
+  /// Hot-swaps the active pipeline: `next` becomes the model for every
+  /// subsequent session and window close — deterministic in the stream
+  /// position of this call. Windows that closed earlier were already scored
+  /// by the outgoing model. Must not be null; throws std::invalid_argument
+  /// otherwise. Call from the scoring thread.
   void swap_pipeline(std::shared_ptr<const QoePipeline> next);
 
   /// Number of swap_pipeline() calls applied so far (0 = the load model).
   [[nodiscard]] std::uint64_t model_generation() const { return generation_; }
 
-  /// Scores every window closed since the last call and returns the
-  /// verdicts (per session in close order). This is where the forest runs:
-  /// the ingest path only queues closed windows, so harvest cadence — not
-  /// record rate — sets the inference cost. Cheap no-op when nothing
-  /// closed since the last call: the open sessions are not walked then, so
-  /// harvesting after every record (as the engine's shard workers do)
-  /// costs a few branches per record. Also the point where detached chunk
-  /// logs (from sessions that died with pending windows) return to the
-  /// arena.
-  [[nodiscard]] std::vector<window::WindowVerdict> take_verdicts();
+  /// Hands over the verdicts of every window scored since the last call,
+  /// in the order the windows closed. The scoring already happened in the
+  /// ingest / advance_to / flush call that closed each window, so this is
+  /// a vector move whatever the cadence.
+  [[nodiscard]] std::vector<window::WindowVerdict> take_verdicts() {
+    return std::exchange(verdicts_, {});
+  }
 
   [[nodiscard]] std::size_t open_sessions() const { return open_.size(); }
   [[nodiscard]] std::size_t sessions_reported() const { return reported_; }
@@ -226,7 +219,7 @@ class OnlineMonitor {
   /// materialized and never counted).
   [[nodiscard]] std::size_t windows_closed() const { return windows_closed_; }
   /// Closed windows that met window.min_chunks and were scored into a
-  /// WindowVerdict (counted when take_verdicts() scores them).
+  /// WindowVerdict.
   [[nodiscard]] std::size_t verdicts_emitted() const {
     return verdicts_emitted_;
   }
@@ -234,23 +227,10 @@ class OnlineMonitor {
   [[nodiscard]] const mem::SessionArena& arena() const { return arena_; }
 
  private:
-  /// A closed, gate-passing window awaiting scoring. The ingest hot path
-  /// only records the chunk span here; take_verdicts() runs the detectors
-  /// and the window summary over it.
-  struct PendingWindow {
-    std::uint64_t index = 0;
-    double start_s = 0.0;
-    double end_s = 0.0;
-    bool final_window = false;
-    std::uint32_t begin_chunk = 0;  ///< span [begin, end) into the chunk log
-    std::uint32_t end_chunk = 0;
-  };
-
+  /// One open session. Constructed in place in its map node and never
+  /// moved: the LRU hooks and `key` rely on that.
   struct OpenSession {
-    explicit OpenSession(mem::SessionArena& arena)
-        : chunks(arena), pending(mem::ArenaAllocator<PendingWindow>(arena)) {}
-    OpenSession(OpenSession&&) = default;
-    OpenSession& operator=(OpenSession&&) = default;
+    explicit OpenSession(mem::SessionArena& arena) : chunks(arena) {}
 
     double start_time_s = 0.0;
     /// The session's own last activity, its reported end. The subscriber's
@@ -259,26 +239,12 @@ class OnlineMonitor {
     session::ActivityClock clock;  ///< Section 5.2 state (session::step)
     mem::SlabChain<ChunkObs> chunks;
     window::SessionWindows windows;
-    /// Windows closed but not yet harvested. Span indices stay valid while
-    /// the session lives (the chunk log only grows); close() detaches them.
-    mem::ArenaVector<PendingWindow> pending;
     /// Intrusive LRU hooks, ordered by last activity (head = coldest).
     /// The session map is node-based, so these pointers survive rehashing;
     /// `key` views the owning map node's key, stable for the same reason.
     OpenSession* lru_prev = nullptr;
     OpenSession* lru_next = nullptr;
     std::string_view key;
-  };
-
-  /// The pending windows of one session that closed before a harvest ran.
-  /// Detaching *moves* the session's chunk log (truncated to the last
-  /// chunk any pending window references, so the unreferenced tail goes
-  /// back to the arena immediately) and pending list here — O(1) per
-  /// dying session plus the tail release, nothing per window or per chunk.
-  struct DetachedWindows {
-    mem::ArenaString subscriber_id;
-    mem::SlabChain<ChunkObs> chunks;
-    mem::ArenaVector<PendingWindow> windows;
   };
 
   using SessionMap =
@@ -290,22 +256,11 @@ class OnlineMonitor {
   /// Closes one subscriber's open session, emitting it when large enough.
   void close(std::string_view subscriber, std::vector<CompletedSession>& out);
 
-  /// Closes this session's windows due at now_s, enqueueing the
-  /// gate-passing ones as pending verdicts.
+  /// Closes this session's windows due at now_s and scores them.
   void close_windows_due(OpenSession& session, double now_s);
-  /// Converts closed_scratch_ into PendingWindow entries and clears it.
-  void enqueue_closed_windows(OpenSession& session);
-  /// Moves a closing session's pending windows and chunk log into
-  /// detached_ in one step. The caller must be done with session.chunks
-  /// (it is left moved-from when anything was pending).
-  void detach_pending(std::string_view subscriber, OpenSession& session);
-  /// Runs the detectors and the window summary over one pending window's
-  /// span into verdicts_.
-  void score_pending(std::string_view subscriber, const PendingWindow& w,
-                     const mem::SlabChain<ChunkObs>& chunk_log);
-  /// Scores every pending window (detached + open sessions') into
-  /// verdicts_: the shared body of take_verdicts() and swap_pipeline().
-  void score_all_pending();
+  /// Scores every window in closed_scratch_ that passes window.min_chunks
+  /// into verdicts_, then clears closed_scratch_.
+  void score_closed_windows(const OpenSession& session);
 
   /// Compiles plan_ from the active pipeline and the observer's shadow.
   void compile_plan();
@@ -339,13 +294,7 @@ class OnlineMonitor {
   SessionMap open_;
   /// Reused buffer for SessionWindows::close_due / close_all output.
   std::vector<window::ClosedWindow> closed_scratch_;
-  /// Pending windows that outlived their sessions, scored at next harvest.
-  std::vector<DetachedWindows> detached_;
-  /// Some open session may hold a pending window: set when a window is
-  /// queued, cleared by score_all_pending()'s walk over the open sessions,
-  /// which a harvest with nothing pending skips.
-  bool open_pending_ = false;
-  /// Verdicts scored by the current take_verdicts() call.
+  /// Verdicts scored since the last take_verdicts() call.
   std::vector<window::WindowVerdict> verdicts_;
   /// Gather buffer for chunk spans that cross slab-chain segments.
   std::vector<ChunkObs> span_scratch_;

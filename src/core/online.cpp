@@ -38,9 +38,6 @@ void OnlineMonitor::swap_pipeline(std::shared_ptr<const QoePipeline> next) {
   if (!next) {
     throw std::invalid_argument{"OnlineMonitor::swap_pipeline: null pipeline"};
   }
-  // Windows already closed belong to the outgoing model: score them now so
-  // the verdict stream is independent of when the next harvest runs.
-  score_all_pending();
   pipeline_ = std::move(next);
   compile_plan();
   ++generation_;
@@ -96,7 +93,7 @@ void OnlineMonitor::evict_over_ceiling(const OpenSession* keep,
   }
 }
 
-void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
+void OnlineMonitor::score_closed_windows(const OpenSession& session) {
   // The chunks of a closed window are the log entries its membership test
   // (SessionWindows::locate) places inside it. Chunks are appended in
   // non-decreasing request-time order, so the log splits into three runs
@@ -132,10 +129,37 @@ void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
         end_chunk - begin_chunk < config_.window.min_chunks) {
       continue;
     }
-    session.pending.push_back(PendingWindow{closed.index, closed.start_s,
-                                            closed.end_s, closed.final_window,
-                                            begin_chunk, end_chunk});
-    open_pending_ = true;
+    const std::span<const ChunkObs> span =
+        session.chunks.view(begin_chunk, end_chunk, span_scratch_);
+    const QoePipeline::ScoredReport scored =
+        pipeline_->assess_scored(span, scratch_, nullptr, &plan_);
+    window::WindowSummary summary;
+    for (const ChunkObs& chunk : span) {
+      summary.add(chunk.request_time_s, chunk.arrival_time_s, chunk.size_bytes);
+    }
+
+    window::WindowVerdict verdict;
+    verdict.subscriber_id = std::string(session.key);
+    verdict.window_index = closed.index;
+    verdict.start_s = closed.start_s;
+    verdict.end_s = closed.end_s;
+    verdict.chunk_count = static_cast<std::uint32_t>(span.size());
+    verdict.final_window = closed.final_window;
+    verdict.stall = static_cast<std::uint8_t>(scored.report.stall);
+    verdict.representation =
+        static_cast<std::uint8_t>(scored.report.representation);
+    verdict.quality_switches = scored.report.quality_switches;
+    verdict.switch_score = scored.report.switch_score;
+    verdict.stall_confidence = scored.stall_confidence;
+    verdict.repr_confidence = scored.repr_confidence;
+    verdict.window_cusum = summary.cusum_std();
+    verdict.mean_goodput_kbps = summary.mean_goodput_kbps();
+    if (config_.observer != nullptr) {
+      config_.observer->on_window(session.key, span, scratch_.features,
+                                  verdict);
+    }
+    verdicts_.push_back(std::move(verdict));
+    ++verdicts_emitted_;
   }
   closed_scratch_.clear();
 }
@@ -143,59 +167,7 @@ void OnlineMonitor::enqueue_closed_windows(OpenSession& session) {
 void OnlineMonitor::close_windows_due(OpenSession& session, double now_s) {
   if (!session.windows.enabled() || session.windows.in_flight() == 0) return;
   session.windows.close_due(now_s, closed_scratch_);
-  if (!closed_scratch_.empty()) enqueue_closed_windows(session);
-}
-
-void OnlineMonitor::detach_pending(std::string_view subscriber,
-                                   OpenSession& session) {
-  if (session.pending.empty()) return;
-  // Keep only the prefix of the chunk log that some pending window still
-  // references: the truncated tail's segments go back to the arena *now*,
-  // not at the next harvest, so harvested-but-unread verdicts can't pin a
-  // dead session's whole log.
-  std::uint32_t last_referenced = 0;
-  for (const PendingWindow& w : session.pending) {
-    last_referenced = std::max(last_referenced, w.end_chunk);
-  }
-  session.chunks.truncate(last_referenced);
-  detached_.push_back(DetachedWindows{
-      mem::ArenaString(subscriber, mem::ArenaAllocator<char>(arena_)),
-      std::move(session.chunks), std::move(session.pending)});
-}
-
-void OnlineMonitor::score_pending(std::string_view subscriber,
-                                  const PendingWindow& w,
-                                  const mem::SlabChain<ChunkObs>& chunk_log) {
-  const std::span<const ChunkObs> span =
-      chunk_log.view(w.begin_chunk, w.end_chunk, span_scratch_);
-  const QoePipeline::ScoredReport scored =
-      pipeline_->assess_scored(span, scratch_, nullptr, &plan_);
-  window::WindowSummary summary;
-  for (const ChunkObs& chunk : span) {
-    summary.add(chunk.request_time_s, chunk.arrival_time_s, chunk.size_bytes);
-  }
-
-  window::WindowVerdict verdict;
-  verdict.subscriber_id = std::string(subscriber);
-  verdict.window_index = w.index;
-  verdict.start_s = w.start_s;
-  verdict.end_s = w.end_s;
-  verdict.chunk_count = static_cast<std::uint32_t>(span.size());
-  verdict.final_window = w.final_window;
-  verdict.stall = static_cast<std::uint8_t>(scored.report.stall);
-  verdict.representation =
-      static_cast<std::uint8_t>(scored.report.representation);
-  verdict.quality_switches = scored.report.quality_switches;
-  verdict.switch_score = scored.report.switch_score;
-  verdict.stall_confidence = scored.stall_confidence;
-  verdict.repr_confidence = scored.repr_confidence;
-  verdict.window_cusum = summary.cusum_std();
-  verdict.mean_goodput_kbps = summary.mean_goodput_kbps();
-  if (config_.observer != nullptr) {
-    config_.observer->on_window(subscriber, span, scratch_.features, verdict);
-  }
-  verdicts_.push_back(std::move(verdict));
-  ++verdicts_emitted_;
+  if (!closed_scratch_.empty()) score_closed_windows(session);
 }
 
 void OnlineMonitor::close(std::string_view subscriber,
@@ -206,11 +178,9 @@ void OnlineMonitor::close(std::string_view subscriber,
   lru_unlink(session);
   if (session.chunks.size() < config_.min_chunks || session.chunks.empty()) {
     ++discarded_;
-    // Windows the session already closed still emit at the next harvest (a
-    // live stream can't retract them — and whether the harvest ran before
-    // or after this discard must not change the verdict stream); only the
-    // would-be final windows vanish with the discarded session.
-    detach_pending(session.key, session);
+    // Windows the session already closed were scored when they closed (a
+    // live stream can't retract them); only the would-be final windows
+    // vanish with the discarded session.
     open_.erase(it);
     return;
   }
@@ -220,7 +190,7 @@ void OnlineMonitor::close(std::string_view subscriber,
   if (session.windows.enabled()) {
     close_windows_due(session, session.last_activity_s);
     session.windows.close_all(session.last_activity_s, closed_scratch_);
-    if (!closed_scratch_.empty()) enqueue_closed_windows(session);
+    if (!closed_scratch_.empty()) score_closed_windows(session);
   }
   CompletedSession done;
   done.subscriber_id = std::string(session.key);
@@ -234,9 +204,6 @@ void OnlineMonitor::close(std::string_view subscriber,
     config_.observer->on_session(session.key, span, scratch_.features,
                                  done.report);
   }
-  // Only after the session-close assessment: detaching moves the chunk log
-  // out of the session for the still-pending windows to alias.
-  detach_pending(session.key, session);
   open_.erase(it);
   ++reported_;
   out.push_back(std::move(done));
@@ -322,32 +289,6 @@ std::vector<CompletedSession> OnlineMonitor::flush() {
   }
   expired_scratch_.clear();
   return completed;
-}
-
-void OnlineMonitor::score_all_pending() {
-  for (const DetachedWindows& detached : detached_) {
-    for (const PendingWindow& pending : detached.windows) {
-      score_pending(detached.subscriber_id, pending, detached.chunks);
-    }
-  }
-  // Destroying the DetachedWindows entries returns their truncated chunk
-  // logs and pending lists to the arena's freelists.
-  detached_.clear();
-  // The engine harvests after every record: walk the open sessions only
-  // when one of them may hold a pending window.
-  if (!open_pending_) return;
-  for (auto& [subscriber, session] : open_) {
-    for (const PendingWindow& pending : session.pending) {
-      score_pending(session.key, pending, session.chunks);
-    }
-    session.pending.clear();
-  }
-  open_pending_ = false;
-}
-
-std::vector<window::WindowVerdict> OnlineMonitor::take_verdicts() {
-  score_all_pending();
-  return std::exchange(verdicts_, {});
 }
 
 }  // namespace vqoe::core

@@ -225,9 +225,7 @@ void MonitorEngine::worker_loop(Shard& shard) {
         break;
       case Item::Kind::swap:
         // Applied in queue order: every record pushed before the swap is
-        // scored by the old model, everything after by the new one. The
-        // monitor scores its pending windows with the outgoing model
-        // first; publish() then moves those verdicts out.
+        // scored by the old model, everything after by the new one.
         shard.monitor.swap_pipeline(std::move(item.model));
         publish(shard, {});
         break;

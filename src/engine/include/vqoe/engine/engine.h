@@ -236,8 +236,8 @@ class MonitorEngine {
   /// next explicit advance_to, or drain), as a queue item ahead of the
   /// tick — so every shard applies it at the same deterministic stream
   /// position, and the output is bit-identical to offline runs split at
-  /// that epoch. Each shard's monitor scores its pending windows with the
-  /// outgoing model before installing `next` (see
+  /// that epoch. Every window a shard closed before the swap item was
+  /// scored by the outgoing model when it closed (see
   /// core::OnlineMonitor::swap_pipeline). A second call before delivery
   /// replaces the pending candidate. Throws std::invalid_argument on null.
   /// Compatibility validation is the caller's job (lifecycle::ModelSlot);

@@ -4,16 +4,16 @@
 // with log2(n) reallocations (each copying the whole log) and leaves up to
 // half its capacity as slack that churn turns into fragmentation. A
 // SlabChain appends into fixed-size segments allocated from a
-// SessionArena: push_back never moves existing elements, every segment is
-// one size-class block (so freed logs tile perfectly into new ones), and
-// truncate() can hand the unreferenced tail of a detached log back to the
-// arena while pending windows still alias the head.
+// SessionArena: push_back never moves existing elements, and every segment
+// is one size-class block, so freed logs tile perfectly into new ones. A
+// chain is neither copied nor moved: it lives and dies in its session's
+// map node.
 //
 // The detectors consume chunk spans contiguously (std::span), so view()
 // returns a zero-copy span when the requested range sits inside one
 // segment — the common case for window spans — and otherwise gathers into
-// a caller-owned scratch vector. Scoring is the cold path (session close /
-// verdict harvest), so the occasional gather costs far less than the
+// a caller-owned scratch vector. Scoring is the cold path (window and
+// session close), so the occasional gather costs far less than the
 // per-record reallocation it replaces.
 //
 // Threading: a chain inherits its arena's single-owner discipline — both
@@ -50,23 +50,6 @@ class SlabChain {
 
   explicit SlabChain(SessionArena& arena)
       : arena_(&arena), segments_(ArenaAllocator<T*>(arena)) {}
-
-  SlabChain(SlabChain&& other) noexcept
-      : arena_(other.arena_),
-        segments_(std::move(other.segments_)),
-        size_(other.size_) {
-    other.size_ = 0;
-  }
-  SlabChain& operator=(SlabChain&& other) noexcept {
-    if (this != &other) {
-      release();
-      arena_ = other.arena_;
-      segments_ = std::move(other.segments_);
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-    return *this;
-  }
 
   SlabChain(const SlabChain&) = delete;
   SlabChain& operator=(const SlabChain&) = delete;
@@ -112,20 +95,6 @@ class SlabChain {
       i += in_segment;
     }
     return {scratch.data(), scratch.size()};
-  }
-
-  /// Drops every element at index >= n, returning whole trailing segments
-  /// to the arena (a detached log keeps only what its pending windows
-  /// still reference).
-  void truncate(std::size_t n) {
-    if (n >= size_) return;
-    const std::size_t cap = segment_capacity();
-    const std::size_t keep_segments = (n + cap - 1) / cap;
-    while (segments_.size() > keep_segments) {
-      arena_->deallocate(segments_.back(), cap * sizeof(T));
-      segments_.pop_back();
-    }
-    size_ = n;
   }
 
   /// Returns every segment (and the directory's buffer) to the arena.

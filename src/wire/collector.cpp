@@ -10,8 +10,8 @@
 //     frame's last record has been merged); payloads that straddle a slab
 //     boundary are assembled into a recycled scratch buffer and counted in
 //     CollectorStats::frames_assembled;
-//   * the k-way merge pops a min-heap keyed (merge_key, accept order), so
-//     equal keys go to the earliest-accepted connection;
+//   * the k-way merge pops a min-heap keyed (timestamp_s, accept order), so
+//     equal timestamps go to the earliest-accepted connection;
 //   * acks batch per wakeup and only connections touched by this wakeup's
 //     events (or by the merge) are revisited, so idle connections cost
 //     nothing.
@@ -86,9 +86,9 @@ struct Collector::Conn {
   std::deque<Frame> frames;  ///< backing for `pending`, in frame order
   std::uint64_t frames_consumed = 0;
   std::uint64_t frames_ack_sent = 0;
-  /// Merge key of the newest accepted record. Accepted keys are finite, so
-  /// the -inf start admits any first record.
-  double last_key = -std::numeric_limits<double>::infinity();
+  /// Timestamp of the newest accepted record. Accepted timestamps are
+  /// finite, so the -inf start admits any first record.
+  double last_timestamp_s = -std::numeric_limits<double>::infinity();
 };
 
 Collector::Collector(CollectorConfig config) : config_(config) {
@@ -251,8 +251,8 @@ CollectorStats Collector::run(const ViewSink& sink) {
   };
 
   auto push_head = [&](Conn& c) {
-    heap.push(HeapEntry{merge_key_of(c.pending.front(), config_.merge_key),
-                        c.accept_seq, &c, c.epoch});
+    heap.push(
+        HeapEntry{c.pending.front().timestamp_s, c.accept_seq, &c, c.epoch});
     ++c.heap_refs;
   };
 
@@ -296,24 +296,25 @@ CollectorStats Collector::run(const ViewSink& sink) {
   };
 
   /// Appends one decoded frame's records to the merge input, enforcing
-  /// per-probe merge-key order. Takes ownership of `frame`'s backing
+  /// per-probe timestamp order. Takes ownership of `frame`'s backing
   /// either way; `view_scratch` holds the decoded views.
   auto append_frame = [&](Conn& c, Conn::Frame&& frame) -> bool {
     const std::size_t before = c.pending.size();
     for (const trace::WeblogRecordView& view : view_scratch) {
-      // Each probe must stream in merge-key order or the k-way merge
-      // cannot reconstruct a globally sorted feed. A non-finite key is cut
-      // off like a regression: NaN compares false against everything, so
-      // it would pass the order check, disable it for the rest of the
-      // stream, and break the merge heap's strict weak ordering.
-      const double key = merge_key_of(view, config_.merge_key);
-      if (!std::isfinite(key) || key < c.last_key) {
+      // Each probe must stream in timestamp order or the k-way merge
+      // cannot reconstruct a globally sorted feed. A non-finite timestamp
+      // is cut off like a regression: NaN compares false against
+      // everything, so it would pass the order check, disable it for the
+      // rest of the stream, and break the merge heap's strict weak
+      // ordering.
+      const double t = view.timestamp_s;
+      if (!std::isfinite(t) || t < c.last_timestamp_s) {
         c.pending.resize(before);  // so fail_conn sees accurate blocking
         release_frame_backing(frame);
         fail_conn(c);
         return false;
       }
-      c.last_key = key;
+      c.last_timestamp_s = t;
       c.pending.push_back(view);
     }
     c.frames.push_back(std::move(frame));

@@ -54,18 +54,6 @@ inline constexpr std::uint32_t kHelloAckMagic = 0x414F5156u;  // "VQOA" LE
 inline constexpr std::size_t kHelloBytes = 8;
 inline constexpr std::size_t kHelloAckBytes = 12;
 
-/// The field the collector merges per-probe streams by. The key must match
-/// the order each probe's stream is sorted in: replayed corpora (and the
-/// engine's watermark clock) ride the request timestamp; a live proxy that
-/// logs a transaction when it *completes* emits records in arrival-time
-/// order instead.
-enum class MergeKey : std::uint8_t { timestamp, arrival_time };
-
-[[nodiscard]] inline double merge_key_of(const trace::WeblogRecordView& r,
-                                         MergeKey key) {
-  return key == MergeKey::timestamp ? r.timestamp_s : r.arrival_time_s();
-}
-
 /// Stable assignment of a subscriber to one of `probes` vantage points
 /// (trace::subscriber_bucket). Partitioning a feed this way keeps every
 /// subscriber's records on one probe, so per-subscriber arrival order
@@ -160,7 +148,6 @@ struct CollectorConfig {
   std::size_t expected_probes = 0;
   /// Max unacknowledged data frames per probe (sent in the hello-ack).
   std::uint32_t ack_window = 8;
-  MergeKey merge_key = MergeKey::timestamp;
   /// Optional tee: every record is appended (in merged order) before the
   /// sink sees it, so the feed can be replayed after a crash. Borrowed.
   SpoolWriter* tee = nullptr;

@@ -14,9 +14,15 @@
 // after being evicted), the two halves must each equal what a fresh monitor
 // makes of that half — eviction changes where sessions end, never what a
 // session's chunks mean.
+//
+// Windows are scored in the call that closes them, so what the ceiling sees
+// is the open sessions' state alone: sessions, verdicts and evictions must
+// not depend on when (or whether) anyone harvests verdicts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -34,20 +40,23 @@ using core::OnlineMonitor;
 using core::OnlineMonitorConfig;
 using core::QoePipeline;
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 /// Everything externally observable about a completed session, compared
-/// exactly (identical code over identical chunks on both paths).
-using SessionKey = std::tuple<std::string, double, double, std::size_t, int,
-                              int, bool, double>;
+/// exactly, doubles as raw bits (identical code over identical chunks on
+/// both paths).
+using SessionKey = std::tuple<std::string, std::uint64_t, std::uint64_t,
+                              std::size_t, int, int, bool, std::uint64_t>;
 
 SessionKey key_of(const CompletedSession& s) {
   return {s.subscriber_id,
-          s.start_time_s,
-          s.end_time_s,
+          bits(s.start_time_s),
+          bits(s.end_time_s),
           s.chunk_count,
           static_cast<int>(s.report.stall),
           static_cast<int>(s.report.representation),
           s.report.quality_switches,
-          s.report.switch_score};
+          bits(s.report.switch_score)};
 }
 
 std::vector<SessionKey> sorted_keys(const std::vector<CompletedSession>& all) {
@@ -58,17 +67,21 @@ std::vector<SessionKey> sorted_keys(const std::vector<CompletedSession>& all) {
   return keys;
 }
 
-/// A window verdict's observable content (everything WindowVerdict carries).
-using VerdictKey = std::tuple<std::string, std::uint64_t, double, double,
-                              std::uint32_t, bool, int, int, bool, double,
-                              double, double, double, double>;
+/// A window verdict's observable content (everything WindowVerdict
+/// carries), doubles as raw bits.
+using VerdictKey =
+    std::tuple<std::string, std::uint64_t, std::uint64_t, std::uint64_t,
+               std::uint32_t, bool, int, int, bool, std::uint64_t,
+               std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
 
 VerdictKey key_of(const window::WindowVerdict& v) {
-  return {v.subscriber_id, v.window_index, v.start_s, v.end_s, v.chunk_count,
-          v.final_window, static_cast<int>(v.stall),
-          static_cast<int>(v.representation), v.quality_switches,
-          v.switch_score, v.stall_confidence, v.repr_confidence,
-          v.window_cusum, v.mean_goodput_kbps};
+  return {v.subscriber_id,          v.window_index,
+          bits(v.start_s),          bits(v.end_s),
+          v.chunk_count,            v.final_window,
+          static_cast<int>(v.stall), static_cast<int>(v.representation),
+          v.quality_switches,       bits(v.switch_score),
+          bits(v.stall_confidence), bits(v.repr_confidence),
+          bits(v.window_cusum),     bits(v.mean_goodput_kbps)};
 }
 
 std::vector<VerdictKey> sorted_keys(
@@ -235,9 +248,124 @@ TEST_F(EvictionTest, WindowedVerdictStreamSurvivesEviction) {
   EXPECT_GT(bounded.sessions_evicted(), 0u);
   EXPECT_EQ(sorted_keys(bounded_sessions), sorted_keys(base_sessions));
   ASSERT_FALSE(base_verdicts.empty());
-  // Pending windows ride eviction into the detached queue and score
-  // identically — the PR-6 rule that a verdict depends only on its span.
+  // An evicted session's last windows are scored when eviction closes it,
+  // and score identically: a verdict depends only on its span.
   EXPECT_EQ(sorted_keys(bounded_verdicts), sorted_keys(base_verdicts));
+}
+
+/// What a run over the cadence feed produced.
+struct CadenceRun {
+  std::vector<SessionKey> sessions;  ///< sorted
+  std::vector<VerdictKey> verdicts;  ///< sorted
+  std::size_t evicted = 0;
+  std::size_t high_water = 0;
+};
+
+/// 240 all-adaptive sessions over 16 subscribers, encrypted: about 13k
+/// records, with many sessions of different subscribers open at once.
+const std::vector<trace::WeblogRecord>& cadence_feed() {
+  static const auto records = [] {
+    auto options = workload::cleartext_corpus_options(240, 99);
+    options.adaptive_fraction = 1.0;
+    options.subscribers = 16;
+    options.keep_session_results = false;
+    return trace::encrypt_view(workload::generate_corpus(options).weblogs);
+  }();
+  return records;
+}
+
+/// 10-s tumbling windows of at least 2 chunks under `ceiling` bytes.
+OnlineMonitorConfig cadence_config(std::size_t ceiling) {
+  OnlineMonitorConfig config;
+  config.window.length_s = 10.0;
+  config.window.min_chunks = 2;
+  config.mem_ceiling_bytes = ceiling;
+  return config;
+}
+
+/// The cadence that takes verdicts only once, after flush().
+constexpr std::size_t kHarvestAtEnd = 0;
+
+/// One sequential monitor over the cadence feed, taking its verdicts
+/// every `harvest_every` records.
+CadenceRun run_with_cadence(const QoePipeline& pipeline,
+                            const OnlineMonitorConfig& config,
+                            std::size_t harvest_every) {
+  OnlineMonitor monitor{pipeline, config};
+  std::vector<CompletedSession> sessions;
+  std::vector<window::WindowVerdict> verdicts;
+  const auto take = [&] {
+    auto taken = monitor.take_verdicts();
+    verdicts.insert(verdicts.end(), std::make_move_iterator(taken.begin()),
+                    std::make_move_iterator(taken.end()));
+  };
+  std::size_t fed = 0;
+  for (const auto& record : cadence_feed()) {
+    auto done = monitor.ingest(record);
+    sessions.insert(sessions.end(), std::make_move_iterator(done.begin()),
+                    std::make_move_iterator(done.end()));
+    if (harvest_every != kHarvestAtEnd && ++fed % harvest_every == 0) take();
+  }
+  auto done = monitor.flush();
+  sessions.insert(sessions.end(), std::make_move_iterator(done.begin()),
+                  std::make_move_iterator(done.end()));
+  take();
+  return {sorted_keys(sessions), sorted_keys(verdicts),
+          monitor.sessions_evicted(), monitor.arena().high_water()};
+}
+
+TEST_F(EvictionTest, HarvestCadenceChangesNothingUnderACeiling) {
+  // 64 KiB is well under this feed's unbounded peak, so the ceiling bites.
+  const auto config = cadence_config(64 * 1024);
+  const CadenceRun every_record = run_with_cadence(*pipeline_, config, 1);
+  EXPECT_GT(every_record.evicted, 0u);
+  ASSERT_FALSE(every_record.verdicts.empty());
+  for (const std::size_t cadence : {std::size_t{4096}, kHarvestAtEnd}) {
+    const CadenceRun run = run_with_cadence(*pipeline_, config, cadence);
+    EXPECT_EQ(run.evicted, every_record.evicted) << "cadence " << cadence;
+    EXPECT_EQ(run.sessions, every_record.sessions) << "cadence " << cadence;
+    EXPECT_EQ(run.verdicts, every_record.verdicts) << "cadence " << cadence;
+  }
+}
+
+TEST_F(EvictionTest, CeilingAboveThePeakNeverEvictsAtAnyCadence) {
+  // The feed's unbounded peak, measured the way the engine's workers run
+  // the monitor: taking verdicts after every record.
+  const CadenceRun unbounded =
+      run_with_cadence(*pipeline_, cadence_config(0), 1);
+  constexpr std::size_t kCeiling = 256 * 1024;
+  ASSERT_LT(unbounded.high_water, kCeiling) << "the ceiling must not bite";
+  for (const std::size_t cadence : {std::size_t{1}, std::size_t{4096},
+                                    kHarvestAtEnd}) {
+    const CadenceRun run =
+        run_with_cadence(*pipeline_, cadence_config(kCeiling), cadence);
+    EXPECT_EQ(run.evicted, 0u) << "cadence " << cadence;
+    EXPECT_LE(run.high_water, kCeiling) << "cadence " << cadence;
+    EXPECT_EQ(run.sessions, unbounded.sessions) << "cadence " << cadence;
+    EXPECT_EQ(run.verdicts, unbounded.verdicts) << "cadence " << cadence;
+  }
+}
+
+TEST_F(EvictionTest, OneShardEngineMatchesSequentialHarvestUnderACeiling) {
+  // Without watermark ticks a 1-shard engine sees exactly the sequential
+  // monitor's calls; its worker harvests after every item.
+  const auto monitor_config = cadence_config(64 * 1024);
+  const CadenceRun sequential =
+      run_with_cadence(*pipeline_, monitor_config, 4096);
+
+  engine::EngineConfig config;
+  config.shards = 1;
+  config.watermark_interval_s = 0.0;
+  config.monitor = monitor_config;
+  engine::MonitorEngine eng{pipeline_, config};
+  for (const auto& record : cadence_feed()) eng.ingest(record);
+  const auto sessions = eng.drain();
+  const auto verdicts = eng.harvest_verdicts();
+
+  EXPECT_GT(sequential.evicted, 0u);
+  EXPECT_EQ(eng.stats().sessions_evicted, sequential.evicted);
+  EXPECT_EQ(sorted_keys(sessions), sequential.sessions);
+  EXPECT_EQ(sorted_keys(verdicts), sequential.verdicts);
 }
 
 TEST_F(EvictionTest, EngineWithPerShardCeilingMatchesUnboundedSequential) {

@@ -1,12 +1,11 @@
 // SlabChain unit tests: segment-chained append, cross-segment indexing,
-// zero-copy vs gathered views, truncate-releases-tail, and move semantics —
-// the chunk-log container contract core::OnlineMonitor relies on.
+// zero-copy vs gathered views, and release back to the arena — the
+// chunk-log container contract core::OnlineMonitor relies on.
 #include "vqoe/mem/slab_chain.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "vqoe/mem/arena.h"
@@ -66,52 +65,22 @@ TEST(SlabChain, EmptyAndInvertedViewsAreEmpty) {
   EXPECT_TRUE(chain.view(1, 1, scratch).empty());
 }
 
-TEST(SlabChain, TruncateReleasesTrailingSegmentsToTheArena) {
+TEST(SlabChain, ReleaseReturnsEverythingToTheArena) {
   SessionArena arena;
   Chain chain{arena};
-  for (std::uint64_t i = 0; i < 3000; ++i) chain.push_back(i);
-  const std::size_t in_use_full = arena.bytes_in_use();
+  for (std::uint64_t i = 0; i < 1500; ++i) chain.push_back(i);
+  ASSERT_GT(arena.bytes_in_use(), 0u);
 
-  chain.truncate(100);  // keep segment 0 only
-  EXPECT_EQ(chain.size(), 100u);
-  EXPECT_LT(arena.bytes_in_use(), in_use_full);
-  for (std::uint64_t i = 0; i < 100; ++i) ASSERT_EQ(chain[i], i);
-
-  // Truncate to a larger size is a no-op.
-  chain.truncate(5000);
-  EXPECT_EQ(chain.size(), 100u);
+  chain.release();
+  EXPECT_EQ(chain.size(), 0u);
+  EXPECT_EQ(arena.bytes_in_use(), 0u);
 
   // The released segments recirculate: regrowing reuses freed blocks.
   const std::uint64_t fresh_before = arena.stats().block_fresh;
-  for (std::uint64_t i = 100; i < 3000; ++i) chain.push_back(i);
+  for (std::uint64_t i = 0; i < 1500; ++i) chain.push_back(i);
   EXPECT_GT(arena.stats().block_reuses, 0u);
   EXPECT_EQ(arena.stats().block_fresh, fresh_before);
-  for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_EQ(chain[i], i);
-}
-
-TEST(SlabChain, MoveTransfersOwnershipAndReleaseReturnsEverything) {
-  SessionArena arena;
-  Chain a{arena};
-  for (std::uint64_t i = 0; i < 1500; ++i) a.push_back(i);
-  const std::size_t in_use = arena.bytes_in_use();
-  ASSERT_GT(in_use, 0u);
-
-  Chain b{std::move(a)};
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_EQ(b.size(), 1500u);
-  EXPECT_EQ(arena.bytes_in_use(), in_use);  // a move moves, not copies
-  EXPECT_EQ(b[1499], 1499u);
-
-  // Move-assign over a non-empty chain releases the overwritten one.
-  Chain c{arena};
-  c.push_back(42);
-  c = std::move(b);
-  EXPECT_EQ(c.size(), 1500u);
-  EXPECT_EQ(arena.bytes_in_use(), in_use);
-
-  c.release();
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
+  for (std::uint64_t i = 0; i < 1500; ++i) ASSERT_EQ(chain[i], i);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -60,7 +59,7 @@ using vqoe::tool::parse_arg_or;
       stderr,
       "usage: vqoe_collector --probes=N [--port=9977] [--shards=4]\n"
       "                      [--model-dir=DIR | --train=N [--seed=N]]\n"
-      "                      [--spool=DIR] [--merge-key=timestamp|arrival]\n"
+      "                      [--spool=DIR]\n"
       "                      [--min-chunks=N] [--ack-window=N]\n"
       "                      [--window=SECONDS] [--hop=SECONDS]\n"
       "                      [--verdict-spool=DIR]\n"
@@ -71,7 +70,6 @@ using vqoe::tool::parse_arg_or;
       "  --model-dir    load trained models (vqoe_train output)\n"
       "  --train=N      train in-process on N synthesized sessions instead\n"
       "  --spool=DIR    tee the merged feed to a spool for replay\n"
-      "  --merge-key    field the per-probe streams are sorted by\n"
       "  --window=S     mid-session verdicts every S stream-seconds\n"
       "  --hop=S        window hop (< window = sliding; default tumbling)\n"
       "  --verdict-spool=DIR  tee the live verdict stream to its own spool\n"
@@ -180,15 +178,6 @@ int main(int argc, char** argv) {
   config.expected_probes = probes;
   if (const char* window = arg_value(argc, argv, "--ack-window")) {
     config.ack_window = parse_arg<std::uint32_t>("--ack-window", window);
-  }
-  if (const char* key = arg_value(argc, argv, "--merge-key")) {
-    if (std::strcmp(key, "timestamp") == 0) {
-      config.merge_key = wire::MergeKey::timestamp;
-    } else if (std::strcmp(key, "arrival") == 0) {
-      config.merge_key = wire::MergeKey::arrival_time;
-    } else {
-      usage();
-    }
   }
   std::unique_ptr<wire::SpoolWriter> tee;
   if (const char* spool = arg_value(argc, argv, "--spool")) {
